@@ -9,6 +9,7 @@ cross-checks; the CLI in sgsim.cli is a thin wrapper over these calls.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ class Scenario:
             raise ValueError(
                 f"need {self.spin.dim} coefficients, got {self.initial_coeffs.shape}")
         total = float(np.sum(np.abs(self.initial_coeffs) ** 2))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
         if self.oracle_steps < 1:
             raise ValueError("oracle_steps must be >= 1")
@@ -304,10 +305,14 @@ _TOP_KEYS = set(_CONFIG_KEYS) | {"twice_s", "coeffs", "segments", "grid",
 
 def _parse_coeff(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValueError(f"coefficient must be a number or [re, im] pair, got {value!r}")
+        c = complex(value)
+    elif isinstance(value, list) and len(value) == 2:
+        c = complex(value[0], value[1])
+    else:
+        raise ValueError(f"coefficient must be a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficients must be finite, got {value!r}")
+    return c
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

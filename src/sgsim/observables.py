@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.signal
 
 from .config import ExperimentConfig, Grid
 from .oracle import check_boundary_leak, quadrature_overlap
@@ -60,10 +59,16 @@ def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
     """p(z) = sum_m |c_m|^2 |psi_m(z)|^2.  Components belonging to different
     m never interfere: they are attached to orthogonal spin states.
     """
-    fields = np.array([sample(p, grid) for p in st.z_packets])
-    check_boundary_leak(fields, st.s, "in the density window")
+    z = grid.z
+    # |psi_m(z)| = exp(Re(a) z^2 + Re(b) z + Re(c)): the phases drop out.
+    # Filling one real array in place keeps the temporaries small, so a
+    # small process heap is not returned to the OS and refaulted per call.
+    amps = np.empty((st.s.dim, grid.n))
+    for row, p in zip(amps, st.z_packets):
+        np.exp((p.a.real * z + p.b.real) * z + p.c.real, out=row)
+    check_boundary_leak(amps, st.s, "in the density window")
     weights = np.abs(st.coeffs) ** 2
-    return DensityProfile(grid, weights @ np.abs(fields) ** 2)
+    return DensityProfile(grid, weights @ np.square(amps, out=amps))
 
 
 def spin_rdm(st: HybridState) -> SpinRDM:
@@ -130,13 +135,32 @@ def semiclassical(cfg: ExperimentConfig, t: float, m: float) -> SemiclassicalKin
     )
 
 
+def _interior_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (in grid steps) and heights of the interior local maxima.
+
+    Runs of equal samples are collapsed first, so a flat top counts once, at
+    its centre.  A one-sample maximum is refined to the vertex of the
+    parabola through it and its two neighbours.  Maxima at either end of the
+    array never count.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    ends = np.append(starts[1:], values.size) - 1
+    runs = values[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    first, last = starts[top], ends[top]
+    left, mid, right = values[first - 1], values[first], values[last + 1]
+    # mid exceeds both neighbours, so the curvature is strictly negative
+    offset = np.where(first == last, 0.5 * (left - right) / (left - 2.0 * mid + right), 0.0)
+    return (first + last) / 2.0 + offset, mid
+
+
 def peak_separation(profile: DensityProfile) -> float | None:
     """Distance between the outermost local maxima above 5% of the global
     peak; None when fewer than two such maxima exist (beams unresolved).
     """
     values = profile.values
-    peaks, _ = scipy.signal.find_peaks(values, height=PEAK_FRACTION * values.max())
-    if len(peaks) < 2:
+    pos, height = _interior_maxima(values)
+    pos = pos[height >= PEAK_FRACTION * values.max()]
+    if len(pos) < 2:
         return None
-    z = profile.grid.z
-    return float(z[peaks[-1]] - z[peaks[0]])
+    return float((pos[-1] - pos[0]) * profile.grid.dz)

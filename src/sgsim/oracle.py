@@ -3,19 +3,25 @@
 Two independent discretizations of the same Hamiltonian
 H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
 
-* split_step_evolve: Strang-split Fourier time stepping, one array per
-  spin component (H is diagonal in m, so components never mix);
+* split_step_evolve: Strang-split Fourier time stepping of all non-zero
+  spin components at once, as one (d, n) array with one batched FFT per
+  half step (H is diagonal in m, so components never mix);
 * dense_hamiltonian + matrix_exponential: the full (n d) x (n d) matrix
-  propagator for desk-size grids.
+  propagator for desk-size grids.  Only this dense check needs scipy, and
+  it imports scipy.linalg when called.
 
 The gradient feeds momentum into each component at rate gamma beta m.  At
 silver-atom scale the accumulated kick (~5e9 per meter) dwarfs any
 affordable grid's Nyquist band, so SampledSpinor carries a per-component
 reference wavenumber frame_k: the physical field is
 exp(i frame_k[i] z) * components[i].  The split stepper re-gauges after
-every step, keeping each stored array centered in the momentum band.
+every step, keeping each stored array centered in the momentum band.  It
+rounds each step's frame advance to a whole number of grid wavenumbers
+2 pi / L, so the kinetic phases of a run are slices of a few exactly
+computed tables instead of a fresh exp at every point and step.
 Re-gauging is exact (a pointwise phase), not an approximation; with
-frame_k = 0 the scheme reduces to the textbook lab-frame method.
+frame_k = 0 and no field the scheme reduces to the textbook lab-frame
+method.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import ExperimentConfig, Grid
 from .spin_algebra import SpinQN
@@ -102,10 +107,21 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     """Strang splitting exp(-iV tau/2) exp(-iT tau) exp(-iV tau/2) per step.
 
     The linear potential is exponentiated exactly, so the only error is the
-    O(tau^2) splitting commutator; norms are conserved to rounding.  After
-    each step the frame advances by gamma beta m tau, which keeps the
-    momentum content of the stored arrays near band center at any field
-    strength.
+    O(tau^2) splitting commutator; norms are conserved to rounding.  All
+    non-zero components are stepped together as one (d_live, n) array;
+    all-zero ones are skipped and keep their frame.
+
+    After step j the frame of a component is frame_k + dk p_j, with
+    dk = 2 pi / L the grid wavenumber spacing and p_j = round(j kick / dk)
+    the kick gamma beta m tau delivered so far, rounded to whole grid
+    wavenumbers.  The regauge is still an exact pointwise phase, and the
+    kinetic factor exp(-i hbar tau (dk (q + p_j) + frame_k)^2 / 2M) of FFT
+    index q becomes a slice of one exactly computed table per component.
+    A table covers the steps over which p_j moves by at most n, so it holds
+    at most 2n entries.  Between two kinetic factors, half-kick, regauge and
+    half-kick merge into one multiplier; p_j grows by r or r + 1 per step,
+    so each component needs just two.  The returned frame differs from
+    frame_k + steps * kick by at most dk / 2.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -116,33 +132,56 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     check_boundary_leak(psi.components, psi.s, "at the start")
 
     grid = psi.grid
-    z, k = grid.z, grid.k
+    n, half = grid.n, grid.n // 2
+    z = grid.z
+    dk = 2.0 * np.pi / grid.length
     tau = t / steps
-    hbar, mass = cfg.hbar, cfg.mass
-    out = np.empty_like(psi.components)
+    out = psi.components.copy()
     frame = psi.frame_k.copy()
+    live = np.flatnonzero(psi.components.any(axis=1))
+    m = psi.s.m_values()[live]
+    kick = cfg.gamma * cfg.beta * m * tau  # frame advance per step
+    larmor = cfg.gamma * cfg.b0 * m * tau
+    p = np.rint(np.outer(kick / dk, np.arange(steps + 1))).astype(np.int64)
+    inc = np.diff(p, axis=1)
+    r = inc.min(axis=1)
+    # steps per kinetic table, so that (block - 1) * reach <= n
+    reach = np.abs(inc).max(axis=1)
+    block = np.where(reach == 0, steps, 1 + n // np.maximum(reach, 1))
 
-    for i, m in enumerate(psi.s.m_values()):
-        phi = psi.components[i].copy()
-        if not phi.any():
-            out[i] = phi
-            continue
-        # exact potential phase over half a step
-        v_half = np.exp(1j * cfg.gamma * (cfg.b0 + cfg.beta * z) * m * tau / 2.0)
-        dk_step = cfg.gamma * cfg.beta * m * tau
-        regauge = np.exp(-1j * dk_step * z)
-        f = frame[i]
-        for _ in range(steps):
-            phi *= v_half
-            phi = np.fft.ifft(np.exp(-1j * hbar * (k + f) ** 2 * tau / (2.0 * mass))
-                              * np.fft.fft(phi))
-            phi *= v_half
-            # shift the reference wavenumber by the kick this step delivered
-            phi *= regauge
-            f += dk_step
-        out[i] = phi
-        frame[i] = f
+    def potential(c: int, share: float, regauge: int) -> np.ndarray:
+        """Field phase of `share` of a step, exp(i share gamma (B0 + beta z)
+        m tau), times the regauge exp(-i dk regauge z), for live component c."""
+        return np.exp(1j * (share * larmor[c] + (share * kick[c] - dk * regauge) * z))
 
+    merged = [(potential(c, 1.0, r[c]), potential(c, 1.0, r[c] + 1))
+              for c in range(live.size)]
+    phi = psi.components[live]
+    for c in range(live.size):
+        phi[c] *= potential(c, 0.5, 0)
+    phik = np.empty_like(phi)
+    tables, lows = [None] * live.size, [0] * live.size
+    for j in range(steps):
+        np.fft.fft(phi, axis=-1, out=phik)
+        for c in range(live.size):
+            if j % block[c] == 0:
+                ends = p[c, j], p[c, min(j + block[c], steps) - 1]
+                lows[c] = min(ends) - half
+                idx = np.arange(lows[c], max(ends) + half)
+                tables[c] = np.exp(-1j * cfg.hbar * (dk * idx + frame[live[c]]) ** 2
+                                   * tau / (2.0 * cfg.mass))
+            at = p[c, j] - lows[c]
+            phik[c, :half] *= tables[c][at:at + half]
+            phik[c, half:] *= tables[c][at - half:at]
+        np.fft.ifft(phik, axis=-1, out=phi)
+        if j < steps - 1:
+            for c in range(live.size):
+                phi[c] *= merged[c][inc[c, j] - r[c]]
+    for c in range(live.size):
+        phi[c] *= potential(c, 0.5, inc[c, -1])
+
+    out[live] = phi
+    frame[live] += dk * p[:, -1]
     check_boundary_leak(out, psi.s, "at the end")
     return SampledSpinor(grid, psi.s, out, frame)
 
@@ -151,6 +190,8 @@ def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarra
     """(n d) x (n d) matrix of H on the periodic grid: spectral kinetic term,
     diagonal potential, block-diagonal in m (descending basis order).
     """
+    import scipy.linalg as sla
+
     if grid.n > DENSE_N_LIMIT:
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
     n = grid.n
@@ -179,6 +220,8 @@ def matrix_exponential(H: np.ndarray, scale: complex) -> np.ndarray:
     if herm_defect <= 1e-12 * max(1.0, np.abs(H).max()):
         w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
         return (Q * np.exp(scale * w)) @ Q.conj().T
+    import scipy.linalg as sla
+
     return sla.expm(scale * H)
 
 

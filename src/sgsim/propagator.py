@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import ExperimentConfig, GradientSegment, Grid
 from .oracle import DENSE_N_LIMIT, SampledSpinor
@@ -54,14 +53,14 @@ class HybridState:
         if len(self.z_packets) != d:
             raise ValueError(f"need {d} z packets, got {len(self.z_packets)}")
         total = float(np.sum(np.abs(self.coeffs) ** 2))
-        if abs(total - 1.0) > COEFF_NORM_TOL:
+        if not abs(total - 1.0) <= COEFF_NORM_TOL:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
         for name, p in [("x", self.x_packet), ("y", self.y_packet)] + [
                 (f"z[m={m:+g}]", p) for m, p in zip(self.s.m_values(), self.z_packets)]:
             # c stores log-amplitude; one ulp of a large exponent already
             # moves the norm by |c| * eps, so the guard scales with it.
             tol = PACKET_NORM_TOL * max(1.0, abs(p.c.real))
-            if abs(norm(p) - 1.0) > tol:
+            if not abs(norm(p) - 1.0) <= tol:
                 raise ValueError(f"{name} packet must be unit norm, got {norm(p)}")
 
 
@@ -71,8 +70,8 @@ def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> Hyb
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     nrm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
-    if nrm == 0:
-        raise ValueError("coefficients are all zero")
+    if not 0.0 < nrm < np.inf:
+        raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
     zp = from_gaussian(cfg.sigma_z)
     return HybridState(
         s=s,
@@ -170,6 +169,8 @@ def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
 
     with D_m the spin-dependent displacement.  Unitary by construction.
     """
+    import scipy.linalg as sla
+
     if grid.n > DENSE_N_LIMIT:
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
     if t < 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -221,6 +222,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "unknown config keys" in err
+
+
+def test_nan_coefficient_exits_2_naming_the_coefficients(tmp_path, capsys):
+    path = write_doc(tmp_path, {"twice_s": 1, "coeffs": [math.nan, 1]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "coefficients must be finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_missing_subcommand_exits_2():

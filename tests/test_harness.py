@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +107,11 @@ def test_scenario_rejects_wrong_coeff_count():
 def test_scenario_rejects_unnormalized_coeffs():
     with pytest.raises(ValueError, match="normalized"):
         silver_scenario(initial_coeffs=np.array([1.0, 1.0]))
+
+
+def test_scenario_rejects_nan_coeffs():
+    with pytest.raises(ValueError, match="normalized"):
+        silver_scenario(initial_coeffs=np.array([math.nan, 1.0]))
 
 
 def test_scenario_rejects_bad_oracle_steps():
@@ -318,6 +326,9 @@ def test_scenario_from_dict_rejects_bad_coefficient():
         scenario_from_dict({"twice_s": 1, "coeffs": ["one", 0]})
     with pytest.raises(ValueError, match="zero"):
         scenario_from_dict({"twice_s": 1, "coeffs": [0, 0]})
+    for bad in (math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            scenario_from_dict({"twice_s": 1, "coeffs": [bad, 1]})
 
 
 def test_scenario_from_dict_rejects_non_object_root():
@@ -335,3 +346,30 @@ def test_load_scenario_round_trip(tmp_path):
     sc = load_scenario(str(path))
     assert sc.spin.dim == 2
     assert sc.outputs == ("density",)
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+NO_SCIPY_CHILD = """
+import sys
+import sgsim
+from sgsim import SpinQN, harness
+sc = harness.load_scenario("configs/scaled_small.json")
+assert "compare-table" in sc.outputs
+assert harness.run(sc).oracle_l2_error <= 1e-12
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+assert harness.bch_check(SpinQN(1)).state_error <= 1e-6
+"""
+
+
+def test_import_and_split_step_run_load_no_scipy():
+    """scipy is needed only by the dense check; the import and a reference
+    run in a fresh interpreter must not load it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

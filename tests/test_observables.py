@@ -15,8 +15,12 @@ from sgsim import (
     HybridState,
     SpinQN,
     SpinRDM,
+    default_silver_config,
     entanglement_entropy,
+    evolve,
     from_gaussian,
+    gaussian_hybrid,
+    moments,
     global_phase,
     peak_separation,
     position_density_z,
@@ -26,6 +30,8 @@ from sgsim import (
     spatial_reduction_entropy,
     spin_rdm,
 )
+
+from sgsim.harness import SILVER_GRID
 
 WIDE_GRID = Grid(z_min=-40.0, z_max=40.0, n=2048)
 
@@ -121,6 +127,18 @@ def test_density_ignores_coefficient_phases():
     p1 = position_density_z(st1, WIDE_GRID)
     p2 = position_density_z(st2, WIDE_GRID)
     assert np.abs(p1.values - p2.values).max() <= 1e-15
+
+
+def test_density_matches_sampled_fields_at_silver_scale():
+    # the density drops the packet phases; at silver scale those reach
+    # ~1e5 rad across the window, and |sample|^2 must agree to rounding
+    cfg = default_silver_config()
+    st = evolve(gaussian_hybrid(SpinQN(2), np.array([0.6, 0.0, 0.8j]), cfg),
+                cfg.transit_time, cfg)
+    fields = np.array([c * sample(p, SILVER_GRID) for c, p in zip(st.coeffs, st.z_packets)])
+    want = np.sum(np.abs(fields) ** 2, axis=0)
+    got = position_density_z(st, SILVER_GRID).values
+    assert np.abs(got - want).max() <= 1e-14 * want.max()
 
 
 def test_density_detects_boundary_leak():
@@ -325,3 +343,39 @@ def test_peak_separation_from_evolved_like_mixture():
     sep = peak_separation(profile)
     assert sep is not None
     assert abs(sep - 10.0) <= 2 * WIDE_GRID.dz
+
+
+def profile_of(values) -> DensityProfile:
+    """Normalized profile on the first len(values) points of a unit grid."""
+    values = np.asarray(values, dtype=float)
+    grid = Grid(z_min=0.0, z_max=float(values.size), n=values.size)
+    return DensityProfile(grid, values / (values.sum() * grid.dz))
+
+
+def test_peak_separation_is_refined_below_the_grid_spacing():
+    cfg = default_silver_config()
+    st = evolve(gaussian_hybrid(SpinQN(1), np.array([1.0, 1.0]), cfg),
+                cfg.transit_time, cfg)
+    sep = peak_separation(position_density_z(st, SILVER_GRID))
+    want = 2 * abs(moments(st.z_packets[0], cfg.hbar).centroid)
+    assert sep is not None
+    assert abs(sep - want) <= 0.05 * SILVER_GRID.dz
+
+
+def test_peak_separation_counts_a_flat_top_once_at_its_centre():
+    # a four-sample plateau centred on 4.5 and a sharp peak at 12
+    values = np.zeros(16)
+    values[2:8] = [1.0, 3.0, 3.0, 3.0, 3.0, 1.0]
+    values[11:14] = [1.0, 2.0, 1.0]
+    assert peak_separation(profile_of(values)) == pytest.approx(12.0 - 4.5, abs=1e-12)
+
+
+def test_peak_separation_ignores_maxima_at_the_array_ends():
+    # the global maximum sits at index 0 and a rising edge ends at the last
+    # sample; only the interior bump at index 5 is a peak
+    values = np.array([5.0, 4.0, 3.0, 1.0, 2.0, 3.0, 2.0, 1.0,
+                       1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 4.0])
+    assert peak_separation(profile_of(values)) is None
+    values[-1] = values[-2]  # a flat run touching the end is no peak either
+    assert peak_separation(profile_of(values)) is None
+

@@ -28,6 +28,15 @@ def test_hybrid_state_validation():
     with pytest.raises(ValueError, match="unit norm"):
         HybridState(HALF, EQUAL, (bad_packet, st.z_packets[1]),
                     st.x_packet, st.y_packet)
+    with pytest.raises(ValueError, match="normalized"):
+        HybridState(HALF, np.array([np.nan, 1.0]), st.z_packets,
+                    st.x_packet, st.y_packet)
+
+
+def test_gaussian_hybrid_rejects_non_finite_or_zero_coeffs():
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and not all zero"):
+            gaussian_hybrid(HALF, np.array(bad), scaled_config())
 
 
 def test_gaussian_hybrid_carrier():
