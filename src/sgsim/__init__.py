@@ -3,8 +3,9 @@ numerical cross-checks."""
 
 from .config import BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegment, Grid
 from .harness import (Report, Scenario, bch_check, default_silver_config,
-                      entropy_timeline, interferometer_segments, load_scenario,
-                      oracle_density_error, run, scaled_config, scenario_from_dict)
+                      entropy_timeline, interferometer_check, interferometer_segments,
+                      load_scenario, oracle_density_error, run, scaled_config,
+                      scenario_from_dict)
 from .observables import (DensityProfile, SpinRDM, entanglement_entropy,
                           peak_separation, position_density_z, semiclassical,
                           spatial_reduction_entropy, spin_rdm)
@@ -17,6 +18,6 @@ from .spin_algebra import (SpinMatrices, SpinQN, build_spin_matrices, commutator
                            conjugate_series, heisenberg_u2c_transform, u2c_phase)
 from .wavepacket import (QuadExpPacket, boost, canonical, free_evolve, from_gaussian,
                          global_phase, moments, norm, normalized, overlap, sample,
-                         translate)
+                         stack_packets, translate)
 
 __version__ = "0.1.0"

@@ -21,14 +21,9 @@ import sys
 import numpy as np
 
 from . import harness
-from .observables import entanglement_entropy, spin_rdm
-from .propagator import evolve_segments, gaussian_hybrid
+from .harness import DENSITY_TOL
 from .spin_algebra import SpinQN
-from .wavepacket import moments
 
-DENSITY_TOL = 1e-4
-KICK_REL_TOL = 1e-10
-ENTROPY_TOL = 1e-6
 BCH_TOL = 1e-6
 
 
@@ -91,32 +86,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_interfere(args: argparse.Namespace) -> int:
-    sc = harness.load_scenario(args.config)
-    cfg = sc.cfg
-    segments = harness.interferometer_segments(cfg.beta, args.T)
-    sc = dataclasses.replace(sc, segments=segments)
-
-    st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, cfg)
-    st = evolve_segments(st0, list(segments), cfg)
-
-    # momentum scale the first leg imparts to the outermost component
-    kick_scale = abs(cfg.hbar * cfg.gamma * cfg.beta * args.T) * max(sc.spin.s, 0.5)
-    worst_kick = max(
-        abs(moments(p, cfg.hbar).mean_momentum - moments(p0, cfg.hbar).mean_momentum)
-        for p, p0 in zip(st.z_packets, st0.z_packets))
-    entropy = entanglement_entropy(spin_rdm(st))
-    oracle_err = harness.oracle_density_error(sc)
-
-    kick_ok = worst_kick <= KICK_REL_TOL * kick_scale
-    entropy_ok = entropy <= ENTROPY_TOL
-    oracle_ok = oracle_err <= DENSITY_TOL
-    print(f"net_kick_rel    {worst_kick / kick_scale:.3e} "
-          f"({'ok' if kick_ok else 'FAIL'}, tolerance {KICK_REL_TOL:.1e})")
-    print(f"entropy_nats    {entropy:.3e} "
-          f"({'ok' if entropy_ok else 'FAIL'}, tolerance {ENTROPY_TOL:.1e})")
-    print(f"oracle_l2_error {oracle_err:.3e} "
-          f"({'ok' if oracle_ok else 'FAIL'}, tolerance {DENSITY_TOL:.1e})")
-    return 0 if (kick_ok and entropy_ok and oracle_ok) else 1
+    ok = True
+    for name, value, tol in harness.interferometer_check(harness.load_scenario(args.config),
+                                                         args.T):
+        passed = value <= tol
+        ok = ok and passed
+        print(f"{name:<15} {value:.3e} ({'ok' if passed else 'FAIL'}, tolerance {tol:.1e})")
+    return 0 if ok else 1
 
 
 def cmd_bch_check(args: argparse.Namespace) -> int:

@@ -9,6 +9,7 @@ the code never assumes a unit system, it only combines the fields it is given.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,10 @@ class ExperimentConfig:
         for name in ("mass", "hbar", "sigma_x", "sigma_y", "sigma_z",
                      "magnet_length"):
             value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
+            if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("g_factor", "bohr_magneton", "b0", "beta", "v0"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @property
@@ -80,9 +81,9 @@ class GradientSegment:
     duration: float
 
     def __post_init__(self) -> None:
-        if not (self.duration >= 0 and np.isfinite(self.duration)):
+        if not (self.duration >= 0 and math.isfinite(self.duration)):
             raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if not np.isfinite(self.beta):
+        if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
 
 

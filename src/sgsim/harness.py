@@ -10,10 +10,11 @@ cross-checks; the CLI in sgsim.cli is a thin wrapper over these calls.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .config import BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegment
 from .observables import (entanglement_entropy, peak_separation, position_density_z,
                           spin_rdm)
 from .oracle import SampledSpinor, matrix_exponential, dense_hamiltonian, split_step_evolve
-from .propagator import (HybridState, dense_factored_matrix, evolve_segments,
+from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, sample_state)
 from .spin_algebra import SpinQN
 from .wavepacket import from_gaussian, moments, sample
@@ -32,6 +33,15 @@ VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table", "bch-check")
 # +-6e-4 m window keeps them far from the periodic seam.
 SILVER_GRID = Grid(z_min=-6e-4, z_max=6e-4, n=4096)
 SILVER_ORACLE_STEPS = 4096
+
+# A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
+# complex array is about 4 MB at this bound.
+TIMELINE_SAMPLES_LIMIT = 4097
+
+# Gates of the gradient-flip interferometer check.
+DENSITY_TOL = 1e-4
+KICK_REL_TOL = 1e-10
+ENTROPY_TOL = 1e-6
 
 
 def default_silver_config() -> ExperimentConfig:
@@ -170,10 +180,8 @@ def run(sc: Scenario) -> Report:
     st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, cfg)
     st = evolve_segments(st0, list(sc.segments), cfg)
 
-    deflection = {
-        sc.spin.label(m): moments(p, cfg.hbar).centroid
-        for m, p in zip(sc.spin.m_values(), st.z_packets)
-    }
+    deflection = {sc.spin.label(m): float(z) for m, z in
+                  zip(sc.spin.m_values(), moments(st.z, cfg.hbar).centroid)}
     profile = position_density_z(st, sc.grid)
     entropy = entanglement_entropy(spin_rdm(st))
 
@@ -205,34 +213,54 @@ def run(sc: Scenario) -> Report:
     )
 
 
-def _evolve_until(st0: HybridState, segments: Sequence[GradientSegment],
-                  cfg: ExperimentConfig, t: float) -> HybridState:
-    """State after the first t seconds of the schedule."""
-    st = st0
-    remaining = t
-    for seg in segments:
-        if remaining <= 0:
-            break
-        step = min(seg.duration, remaining)
-        if step > 0:
-            st = evolve_segments(st, [GradientSegment(seg.beta, step)], cfg)
-        remaining -= step
-    return st
-
-
 def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
     """Entanglement entropy at evenly spaced times across the schedule;
     returns an array with columns (t, entropy).
+
+    The closed form holds at any t, so one batched evolve from the start of
+    each segment gives both its samples and the state at its end.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
+    if samples > TIMELINE_SAMPLES_LIMIT:
+        raise ValueError(f"samples must be <= {TIMELINE_SAMPLES_LIMIT}, got {samples}")
+    st = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     times = np.linspace(0.0, sc.total_duration, samples)
     out = np.empty((samples, 2))
-    for i, t in enumerate(times):
-        st = _evolve_until(st0, sc.segments, sc.cfg, t)
-        out[i] = t, entanglement_entropy(spin_rdm(st))
+    out[:, 0] = times
+    done, start = 0, 0.0
+    for i, seg in enumerate(sc.segments):
+        if i:
+            st = batch.at(-1)  # the end of the previous segment
+        end = start + seg.duration
+        upto = int(np.searchsorted(times, end, side="right"))
+        dt = np.append(times[done:upto] - start, seg.duration)
+        batch = evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta))
+        if upto > done:
+            out[done:upto, 1] = entanglement_entropy(spin_rdm(batch))[:-1]
+        done, start = upto, end
+    if done < samples:  # no segments: every sample is the initial state
+        out[done:, 1] = entanglement_entropy(spin_rdm(st))
     return out
+
+
+def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float]]:
+    """Run the scenario's beam through the +beta/-beta/+beta schedule with
+    legs T, 2T, T, which should leave the beams recombined.  Returns rows
+    (name, value, tolerance), each passing at value <= tolerance: the
+    largest net momentum kick of any component relative to the first leg's
+    kick on the outermost one, the final entanglement entropy, and the
+    closed form vs split-step density error.
+    """
+    cfg = sc.cfg
+    sc = dataclasses.replace(sc, segments=interferometer_segments(cfg.beta, T))
+    st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, cfg)
+    st = evolve_segments(st0, list(sc.segments), cfg)
+    kick_scale = abs(cfg.hbar * cfg.gamma * cfg.beta * T) * max(sc.spin.s, 0.5)
+    kick = np.abs(moments(st.z, cfg.hbar).mean_momentum - moments(st0.z, cfg.hbar).mean_momentum)
+    return [("net_kick_rel", float(kick.max()) / kick_scale, KICK_REL_TOL),
+            ("entropy_nats", entanglement_entropy(spin_rdm(st)), ENTROPY_TOL),
+            ("oracle_l2_error", oracle_density_error(sc), DENSITY_TOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +343,14 @@ def _parse_coeff(value) -> complex:
     return c
 
 
+def _parse_int(value, key: str) -> int:
+    """An integer from JSON; a bool or a non-integral number is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a JSON document; unknown keys are rejected so
     typos fail loudly.  Omitted physics keys fall back to the silver
@@ -335,7 +371,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             cfg_kwargs[field] = float(doc[key])
     cfg = ExperimentConfig(**cfg_kwargs)
 
-    spin = SpinQN(int(doc["twice_s"]))
+    spin = SpinQN(_parse_int(doc["twice_s"], "twice_s"))
     coeffs = np.array([_parse_coeff(v) for v in doc["coeffs"]])
     nrm = np.linalg.norm(coeffs)
     if nrm == 0:
@@ -353,7 +389,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     grid = Grid(
         z_min=float(grid_doc.get("z_min_m", SILVER_GRID.z_min)),
         z_max=float(grid_doc.get("z_max_m", SILVER_GRID.z_max)),
-        n=int(grid_doc.get("n", SILVER_GRID.n)),
+        n=_parse_int(grid_doc.get("n", SILVER_GRID.n), "grid.n"),
     )
 
     return Scenario(
@@ -362,7 +398,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         initial_coeffs=coeffs,
         segments=segments,
         grid=grid,
-        oracle_steps=int(doc.get("oracle_steps", SILVER_ORACLE_STEPS)),
+        oracle_steps=_parse_int(doc.get("oracle_steps", SILVER_ORACLE_STEPS), "oracle_steps"),
         outputs=tuple(doc.get("outputs", ("density",))),
     )
 

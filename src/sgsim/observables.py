@@ -4,18 +4,20 @@ matrix, entanglement entropy, and the semiclassical yardstick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import ExperimentConfig, Grid
-from .oracle import check_boundary_leak, quadrature_overlap
+from .oracle import check_boundary_leak
 from .propagator import HybridState
 from .wavepacket import overlap, sample
 
 # Eigenvalues at or below this contribute 0 to -sum(lam ln lam).
 ENTROPY_EIG_CLIP = 1e-14
+# Hermiticity, unit trace and positivity of a spin reduced density matrix.
+RDM_TOL = 1e-10
 # Peaks below this fraction of the global maximum do not count as beams.
 PEAK_FRACTION = 0.05
 
@@ -33,26 +35,35 @@ class DensityProfile:
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("density values must be finite and nonnegative")
         total = float(np.sum(self.values) * self.grid.dz)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise ValueError(f"density must integrate to 1, got {total}")
 
 
 @dataclass(frozen=True, eq=False)
 class SpinRDM:
-    """Reduced spin state after tracing out position."""
+    """Reduced spin state after tracing out position: one (d, d) matrix,
+    or a (..., d, d) stack of them.  The eigenvalues of the positivity
+    check are kept for the entropy.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"matrix must be square, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix must be finite")
+        if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= RDM_TOL:
             raise ValueError("matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
+        trace = m.trace(axis1=-2, axis2=-1)
+        if not (abs(trace.real - 1.0) <= RDM_TOL).all():
+            raise ValueError(f"trace must be 1, got {trace}")
+        lams = np.linalg.eigvalsh(m)
+        if not lams.min() >= -RDM_TOL:
             raise ValueError("matrix must be positive semidefinite")
+        object.__setattr__(self, "eigenvalues", lams)
 
 
 def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
@@ -76,27 +87,33 @@ def spin_rdm(st: HybridState) -> SpinRDM:
 
     The shared x and y packets contribute unit factors, so only z-packet
     overlaps enter.  Coinciding packets give the pure state c c^dagger;
-    far-separated packets kill the off-diagonal terms.
+    far-separated packets kill the off-diagonal terms.  A state with a
+    time axis gives a stack of matrices.
     """
-    d = st.s.dim
-    rho = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rho[i, j] = st.coeffs[i] * st.coeffs[j].conjugate() * overlap(
-                st.z_packets[j], st.z_packets[i])
-    rho = (rho + rho.conj().T) / 2.0
-    return SpinRDM(rho)
+    c = st.coeffs
+    rho = c[..., :, None] * c[..., None, :].conj() * overlap(st.z[..., None, :],
+                                                             st.z[..., :, None])
+    return SpinRDM((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def entanglement_entropy(rho: SpinRDM | np.ndarray) -> float:
-    """Von Neumann entropy -sum lam ln lam in nats."""
-    m = rho.matrix if isinstance(rho, SpinRDM) else np.asarray(rho)
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > 1e-8:
-        raise ValueError(f"trace must be 1 within 1e-8, got {trace}")
-    lams = np.linalg.eigvalsh(m)
-    lams = lams[lams > ENTROPY_EIG_CLIP]
-    return max(0.0, float(-np.sum(lams * np.log(lams))))
+def entanglement_entropy(rho: SpinRDM | np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy -sum lam ln lam in nats; one value per matrix
+    of a stack.
+    """
+    if isinstance(rho, SpinRDM):
+        lams = rho.eigenvalues
+    else:
+        m = np.asarray(rho)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix must be finite")
+        trace = m.trace(axis1=-2, axis2=-1)
+        if not (abs(trace - 1.0) <= 1e-8).all():
+            raise ValueError(f"trace must be 1 within 1e-8, got {trace}")
+        lams = np.linalg.eigvalsh(m)
+    kept = np.where(lams > ENTROPY_EIG_CLIP, lams, 1.0)  # 1 ln 1 = 0
+    entropy = -np.sum(kept * np.log(kept), axis=-1)
+    entropy = np.where(entropy > 0.0, entropy, 0.0)  # +0.0, never -0.0
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
@@ -106,13 +123,8 @@ def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
     d x d Gram matrix G_{ij} = conj(c_i) c_j <psi_i|psi_j>, so for a pure
     joint state this must agree with entanglement_entropy(spin_rdm(st)).
     """
-    fields = [c * sample(p, grid) for c, p in zip(st.coeffs, st.z_packets)]
-    d = st.s.dim
-    gram = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = quadrature_overlap(fields[i], fields[j], grid)
-    return entanglement_entropy(gram)
+    fields = np.array([c * sample(p, grid) for c, p in zip(st.coeffs, st.z_packets)])
+    return entanglement_entropy(fields.conj() @ fields.T * grid.dz)
 
 
 class SemiclassicalKinematics(NamedTuple):

@@ -7,8 +7,8 @@ H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
   spin components at once, as one (d, n) array with one batched FFT per
   half step (H is diagonal in m, so components never mix);
 * dense_hamiltonian + matrix_exponential: the full (n d) x (n d) matrix
-  propagator for desk-size grids.  Only this dense check needs scipy, and
-  it imports scipy.linalg when called.
+  propagator for desk-size grids.  Only matrix_exponential's fallback for
+  non-Hermitian input needs scipy, and it imports scipy.linalg when called.
 
 The gradient feeds momentum into each component at rate gamma beta m.  At
 silver-atom scale the accumulated kick (~5e9 per meter) dwarfs any
@@ -190,19 +190,17 @@ def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarra
     """(n d) x (n d) matrix of H on the periodic grid: spectral kinetic term,
     diagonal potential, block-diagonal in m (descending basis order).
     """
-    import scipy.linalg as sla
-
     if grid.n > DENSE_N_LIMIT:
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
     n = grid.n
-    F = sla.dft(n, scale="sqrtn")
+    F = np.fft.fft(np.eye(n), norm="ortho")
     kinetic = F.conj().T @ np.diag(cfg.hbar**2 * grid.k**2 / (2.0 * cfg.mass)) @ F
     kinetic = (kinetic + kinetic.conj().T) / 2.0
-    blocks = []
-    for m in s.m_values():
+    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
+    for i, m in enumerate(s.m_values()):
         potential = np.diag(-cfg.gamma * (cfg.b0 + cfg.beta * grid.z) * cfg.hbar * m)
-        blocks.append(kinetic + potential)
-    return sla.block_diag(*blocks)
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = kinetic + potential
+    return out
 
 
 def matrix_exponential(H: np.ndarray, scale: complex) -> np.ndarray:

@@ -15,6 +15,12 @@ pieces, applied rightmost first:
 Each piece maps Gaussians to Gaussians, so a HybridState evolves in closed
 form with no discretization anywhere.  The three middle factors mutually
 commute; only the field kick's position in the product matters.
+
+A HybridState holds its z packets as one QuadExpPacket of (..., d)
+arrays, one column per m, so each factor is a single array expression
+over all components.  Passing a (s, 1) array of times gives a state with
+a leading time axis: the closed form holds at any t, so every sample of a
+timeline comes out of one call.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from .config import ExperimentConfig, GradientSegment, Grid
 from .oracle import DENSE_N_LIMIT, SampledSpinor
 from .spin_algebra import SpinQN, u2c_phase
 from .wavepacket import (QuadExpPacket, boost, free_evolve, from_gaussian, norm,
-                         normalized, sample, translate)
+                         normalized, sample, stack_packets, translate)
 
 COEFF_NORM_TOL = 1e-12
 PACKET_NORM_TOL = 1e-12
+
+Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,30 +46,45 @@ class HybridState:
     """Position x spin product-form state: coefficients c_m against a
     per-m z packet, with x and y packets shared by every component
     (nothing in the Hamiltonian couples them to the spin).
+
+    coeffs and the fields of z have shape (..., d), column i belonging to
+    m = s.m_values()[i]; any leading axes (times, in a batched evolve) are
+    shared with x_packet and y_packet.
     """
 
     s: SpinQN
-    coeffs: np.ndarray  # (d,) complex
-    z_packets: tuple[QuadExpPacket, ...]
+    coeffs: np.ndarray  # (..., d) complex
+    z: QuadExpPacket  # fields (..., d)
     x_packet: QuadExpPacket
     y_packet: QuadExpPacket
 
     def __post_init__(self) -> None:
         d = self.s.dim
-        if self.coeffs.shape != (d,):
-            raise ValueError(f"coeffs must have shape {(d,)}, got {self.coeffs.shape}")
-        if len(self.z_packets) != d:
-            raise ValueError(f"need {d} z packets, got {len(self.z_packets)}")
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
-        if not abs(total - 1.0) <= COEFF_NORM_TOL:
+        for name, v in (("coeffs", self.coeffs), ("z.a", self.z.a), ("z.b", self.z.b),
+                        ("z.c", self.z.c)):
+            if np.shape(v)[-1:] != (d,):
+                raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
+        total = (np.abs(self.coeffs) ** 2).sum(-1)
+        if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
-        for name, p in [("x", self.x_packet), ("y", self.y_packet)] + [
-                (f"z[m={m:+g}]", p) for m, p in zip(self.s.m_values(), self.z_packets)]:
+        for name, p in (("x", self.x_packet), ("y", self.y_packet), ("z", self.z)):
             # c stores log-amplitude; one ulp of a large exponent already
             # moves the norm by |c| * eps, so the guard scales with it.
-            tol = PACKET_NORM_TOL * max(1.0, abs(p.c.real))
-            if not abs(norm(p) - 1.0) <= tol:
-                raise ValueError(f"{name} packet must be unit norm, got {norm(p)}")
+            nrm = norm(p)
+            if not (abs(nrm - 1.0) <= PACKET_NORM_TOL * np.maximum(1.0, abs(p.c.real))).all():
+                raise ValueError(f"{name} packet must be unit norm, got {nrm}")
+
+    def at(self, i: int) -> "HybridState":
+        """Row i of a state evolved with a (s, 1) array of times."""
+        return HybridState(self.s, self.coeffs[i], self.z[i], self.x_packet[i, 0],
+                           self.y_packet[i, 0])
+
+    @property
+    def z_packets(self) -> tuple[QuadExpPacket, ...]:
+        """Scalar view of the z packet of each m (unbatched states only)."""
+        if np.ndim(self.coeffs) != 1:
+            raise ValueError("z_packets needs a state without a time axis")
+        return tuple(self.z[i] for i in range(self.s.dim))
 
 
 def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> HybridState:
@@ -69,66 +92,88 @@ def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> Hyb
     axis y at v0, at rest in x and z, with the given spin coefficients.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    nrm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
+    nrm = np.sqrt((np.abs(coeffs) ** 2).sum())
     if not 0.0 < nrm < np.inf:
         raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
-    zp = from_gaussian(cfg.sigma_z)
     return HybridState(
         s=s,
         coeffs=coeffs / nrm,
-        z_packets=(zp,) * s.dim,
+        z=stack_packets((from_gaussian(cfg.sigma_z),) * s.dim),
         x_packet=from_gaussian(cfg.sigma_x),
         y_packet=from_gaussian(cfg.sigma_y, 0.0, cfg.mass * cfg.v0 / cfg.hbar),
     )
 
 
-def apply_u2c(st: HybridState, t: float, cfg: ExperimentConfig) -> HybridState:
-    """Quadratic spin phase on the coefficients; packets untouched."""
-    phases = np.array([np.exp(1j * u2c_phase(m, t, cfg)) for m in st.s.m_values()])
-    return HybridState(st.s, st.coeffs * phases, st.z_packets, st.x_packet, st.y_packet)
+# Each factor maps the parts (coeffs, z, x_packet, y_packet) of a state with
+# magnetic quantum numbers m to new parts; _apply checks the times, and
+# HybridState validates only what a public call returns.
+
+def _u2c(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
+    coeffs, z, x, y = parts
+    return coeffs * np.exp(1j * u2c_phase(m, t, cfg)), z, x, y
 
 
-def apply_u2b(st: HybridState, t: float, cfg: ExperimentConfig) -> HybridState:
-    """Spin-dependent translation of each z packet."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+def _u2b(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
+    coeffs, z, x, y = parts
     scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
-    zs = tuple(normalized(translate(p, scale * m))
-               for m, p in zip(st.s.m_values(), st.z_packets))
-    return HybridState(st.s, st.coeffs, zs, st.x_packet, st.y_packet)
+    return coeffs, normalized(translate(z, scale * m)), x, y
 
 
-def apply_u2a(st: HybridState, t: float, cfg: ExperimentConfig) -> HybridState:
+def _u2a(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
+    coeffs, z, x, y = parts
+    ev = lambda p: normalized(free_evolve(p, t, cfg.mass, cfg.hbar))
+    return coeffs, ev(z), ev(x), ev(y)
+
+
+def _u1(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
+    coeffs, z, x, y = parts
+    return (coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
+            boost(z, cfg.gamma * cfg.beta * t * m), x, y)
+
+
+def _apply(factors, st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
+    if not np.greater_equal(t, 0).all():
+        raise ValueError("t must be >= 0")
+    m = st.s.m_values()
+    parts = (st.coeffs, st.z, st.x_packet, st.y_packet)
+    for factor in factors:
+        parts = factor(m, parts, t, cfg)
+    return HybridState(st.s, *parts)
+
+
+def apply_u2c(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
+    """Quadratic spin phase on the coefficients; packets untouched."""
+    return _apply((_u2c,), st, t, cfg)
+
+
+def apply_u2b(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
+    """Spin-dependent translation of each z packet."""
+    return _apply((_u2b,), st, t, cfg)
+
+
+def apply_u2a(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Free evolution of every packet.
 
     Renormalized explicitly: for fast carriers (k0 sigma >> 1) the exponent
     bookkeeping cancels large terms and the closed-form norm drifts at the
     carrier's rounding floor, well above 1e-12 at silver scale.
     """
-    ev = lambda p: normalized(free_evolve(p, t, cfg.mass, cfg.hbar))
-    return HybridState(st.s, st.coeffs, tuple(ev(p) for p in st.z_packets),
-                       ev(st.x_packet), ev(st.y_packet))
+    return _apply((_u2a,), st, t, cfg)
 
 
-def apply_u1(st: HybridState, t: float, cfg: ExperimentConfig) -> HybridState:
+def apply_u1(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Field kick: gradient part boosts each z packet by gamma beta t m,
     uniform part advances the Larmor phase of each coefficient.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    m = st.s.m_values()
-    coeffs = st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0)
-    zs = tuple(boost(p, cfg.gamma * cfg.beta * t * mm)
-               for mm, p in zip(m, st.z_packets))
-    return HybridState(st.s, coeffs, zs, st.x_packet, st.y_packet)
+    return _apply((_u1,), st, t, cfg)
 
 
-def evolve(st: HybridState, t: float, cfg: ExperimentConfig) -> HybridState:
-    """Full evolution for time t under constant B0 and beta."""
-    st = apply_u2c(st, t, cfg)
-    st = apply_u2b(st, t, cfg)
-    st = apply_u2a(st, t, cfg)
-    return apply_u1(st, t, cfg)
+def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
+    """Full evolution for time t under constant B0 and beta.  t is a
+    scalar, or a (s, 1) array of times that gives a state with a leading
+    time axis of length s.
+    """
+    return _apply((_u2c, _u2b, _u2a, _u1), st, t, cfg)
 
 
 def evolve_segments(st: HybridState, segments: list[GradientSegment],
@@ -169,21 +214,19 @@ def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
 
     with D_m the spin-dependent displacement.  Unitary by construction.
     """
-    import scipy.linalg as sla
-
     if grid.n > DENSE_N_LIMIT:
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
     if t < 0:
         raise ValueError("t must be >= 0")
     n = grid.n
-    F = sla.dft(n, scale="sqrtn")
+    F = np.fft.fft(np.eye(n), norm="ortho")
     Fh = F.conj().T
     z, k = grid.z, grid.k
-    blocks = []
-    for m in s.m_values():
+    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
+    for i, m in enumerate(s.m_values()):
         shift = cfg.gamma * cfg.beta * cfg.hbar * m * t * t / (2.0 * cfg.mass)
         spectral = np.exp(-1j * cfg.hbar * k * k * t / (2.0 * cfg.mass)) * np.exp(-1j * k * shift)
         kick = np.exp(1j * cfg.gamma * t * (cfg.b0 + cfg.beta * z) * m)
         block = (kick[:, None] * Fh) @ (spectral[:, None] * F)
-        blocks.append(np.exp(1j * u2c_phase(m, t, cfg)) * block)
-    return sla.block_diag(*blocks)
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.exp(1j * u2c_phase(m, t, cfg)) * block
+    return out

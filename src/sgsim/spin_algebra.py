@@ -106,9 +106,9 @@ def u2c_phase(m: float, t: float, cfg: ExperimentConfig) -> float:
     gradient-squared spin term: -hbar gamma^2 beta^2 m^2 t^3 / (6 M).
 
     Even in m, cubic in time; a global (physically empty) phase for
-    spin 1/2 since m^2 is then constant.
+    spin 1/2 since m^2 is then constant.  Elementwise in m and t.
     """
-    if t < 0:
+    if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
     g = cfg.gamma
     return -cfg.hbar * g * g * cfg.beta * cfg.beta * m * m * t**3 / (6.0 * cfg.mass)

@@ -6,6 +6,11 @@ momentum boost, global phase, and free kinetic evolution.  All norms,
 moments, and pair overlaps are elementary Gaussian integrals, so states
 evolve with no grid and no time stepping.
 
+Every operation is elementwise, so a packet may also hold numpy arrays
+a, b, c of broadcastable shapes: one packet per element.  HybridState
+keeps its spin components (and an optional leading time axis) this way,
+and each propagator factor is then one array expression.
+
 Conventions: z in length units, a in 1/length^2, b in 1/length, c
 dimensionless.  hbar enters only free_evolve and the momentum moment and
 is passed explicitly so scaled-unit (hbar = 1) tests read naturally.
@@ -26,19 +31,35 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadExpPacket:
-    """psi(z) = exp(a z^2 + b z + c), normalizable iff Re(a) < 0."""
+    """psi(z) = exp(a z^2 + b z + c), normalizable iff Re(a) < 0.  The
+    fields are complex scalars, or complex arrays that broadcast together
+    (a stack of packets).
+    """
 
-    a: complex
-    b: complex
-    c: complex
+    a: complex | np.ndarray
+    b: complex | np.ndarray
+    c: complex | np.ndarray
 
     def __post_init__(self) -> None:
+        a, b, c = self.a, self.b, self.c
+        if (np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & (a.real < 0)).all():
+            return  # one reduction for the common, valid case
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite, got {v}")
-        if not self.a.real < 0:
-            raise ValueError(f"need Re(a) < 0 for normalizability, got a = {self.a}")
+        raise ValueError(f"need Re(a) < 0 for normalizability, got a = {a}")
+
+    def __getitem__(self, index) -> "QuadExpPacket":
+        """The packets at `index` of the broadcast stack.  Entries of a
+        valid stack are valid, so the result skips the checks."""
+        a, b, c = self.a, self.b, self.c
+        if not np.shape(a) == np.shape(b) == np.shape(c):
+            a, b, c = np.broadcast_arrays(a, b, c)
+        view = object.__new__(QuadExpPacket)
+        for name, v in (("a", a[index]), ("b", b[index]), ("c", c[index])):
+            object.__setattr__(view, name, v)
+        return view
 
 
 class PacketMoments(NamedTuple):
@@ -90,7 +111,7 @@ def free_evolve(p: QuadExpPacket, t: float, mass: float, hbar: float = 1.0) -> Q
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    if t < 0:
+    if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
     tau = hbar * t / (2.0 * mass)
     den = 1.0 - 4j * tau * p.a
@@ -106,12 +127,12 @@ def norm(p: QuadExpPacket) -> float:
     ||psi||^2 = sqrt(pi/alpha) exp(Re(b)^2/alpha + 2 Re(c)).
     """
     alpha = -2.0 * p.a.real
-    return (math.pi / alpha) ** 0.25 * math.exp(p.b.real**2 / (2.0 * alpha) + p.c.real)
+    return (math.pi / alpha) ** 0.25 * np.exp(p.b.real**2 / (2.0 * alpha) + p.c.real)
 
 
 def normalized(p: QuadExpPacket) -> QuadExpPacket:
     """Rescale to unit norm (only Re(c) changes)."""
-    return QuadExpPacket(p.a, p.b, p.c - math.log(norm(p)))
+    return QuadExpPacket(p.a, p.b, p.c - np.log(norm(p)))
 
 
 def canonical(p: QuadExpPacket) -> QuadExpPacket:
@@ -146,9 +167,16 @@ def overlap(p: QuadExpPacket, q: QuadExpPacket) -> complex:
     A = p.a.conjugate() + q.a
     B = p.b.conjugate() + q.b
     C = p.c.conjugate() + q.c
-    if not A.real < 0:
+    if not np.less(A.real, 0).all():
         raise ValueError(f"overlap integral diverges: Re(a_p* + a_q) = {A.real}")
     return np.sqrt(-math.pi / A) * np.exp(-B * B / (4.0 * A) + C)
+
+
+def stack_packets(packets) -> QuadExpPacket:
+    """One packet of (k,) arrays from an iterable of k scalar packets."""
+    packets = list(packets)
+    return QuadExpPacket(*(np.array([getattr(p, f) for p in packets], dtype=complex)
+                           for f in "abc"))
 
 
 def sample(p: QuadExpPacket, grid: Grid | np.ndarray) -> np.ndarray:

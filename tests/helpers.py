@@ -1,15 +1,21 @@
 """Shared comparison utilities for the test suite, and the per-component
-loop split-step solver that the batched one in sgsim.oracle is checked
-against."""
+loop references that the batched code in sgsim is checked against: the
+loop split-step solver, and the per-packet closed-form propagator with its
+sample-by-sample entropy timeline."""
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from sgsim import ExperimentConfig, HybridState, QuadExpPacket
+from sgsim import (ExperimentConfig, GradientSegment, Grid, HybridState, QuadExpPacket,
+                   Scenario, SpinQN, u2c_phase)
 from sgsim.oracle import SampledSpinor, check_boundary_leak
+from sgsim.wavepacket import (boost, free_evolve, from_gaussian, norm, normalized,
+                              overlap, translate)
 
 
 def _circle_gap(x: float, y: float) -> float:
@@ -99,3 +105,117 @@ def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,
 
     check_boundary_leak(out, psi.s, "at the end")
     return SampledSpinor(grid, psi.s, out, frame)
+
+
+# ---------------------------------------------------------------------------
+# Per-packet closed-form reference: a tuple of scalar packets per state,
+# each factor a loop over components, and an entropy timeline that evolves
+# from t = 0 for every sample.
+
+@dataclass(frozen=True, eq=False)
+class LoopState:
+    s: SpinQN
+    coeffs: np.ndarray  # (d,) complex
+    z_packets: tuple[QuadExpPacket, ...]
+    x_packet: QuadExpPacket
+    y_packet: QuadExpPacket
+
+    def __post_init__(self) -> None:
+        d = self.s.dim
+        if self.coeffs.shape != (d,):
+            raise ValueError(f"coeffs must have shape {(d,)}, got {self.coeffs.shape}")
+        if len(self.z_packets) != d:
+            raise ValueError(f"need {d} z packets, got {len(self.z_packets)}")
+        total = float(np.sum(np.abs(self.coeffs) ** 2))
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
+        for name, p in [("x", self.x_packet), ("y", self.y_packet)] + [
+                (f"z[m={m:+g}]", p) for m, p in zip(self.s.m_values(), self.z_packets)]:
+            tol = 1e-12 * max(1.0, abs(p.c.real))
+            if not abs(norm(p) - 1.0) <= tol:
+                raise ValueError(f"{name} packet must be unit norm, got {norm(p)}")
+
+
+def loop_gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> LoopState:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    nrm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
+    zp = from_gaussian(cfg.sigma_z)
+    return LoopState(
+        s=s,
+        coeffs=coeffs / nrm,
+        z_packets=(zp,) * s.dim,
+        x_packet=from_gaussian(cfg.sigma_x),
+        y_packet=from_gaussian(cfg.sigma_y, 0.0, cfg.mass * cfg.v0 / cfg.hbar),
+    )
+
+
+def loop_evolve(st: LoopState, t: float, cfg: ExperimentConfig) -> LoopState:
+    """The four factors, rightmost first, one packet at a time."""
+    phases = np.array([np.exp(1j * u2c_phase(m, t, cfg)) for m in st.s.m_values()])
+    st = LoopState(st.s, st.coeffs * phases, st.z_packets, st.x_packet, st.y_packet)
+
+    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
+    zs = tuple(normalized(translate(p, scale * m))
+               for m, p in zip(st.s.m_values(), st.z_packets))
+    st = LoopState(st.s, st.coeffs, zs, st.x_packet, st.y_packet)
+
+    ev = lambda p: normalized(free_evolve(p, t, cfg.mass, cfg.hbar))
+    st = LoopState(st.s, st.coeffs, tuple(ev(p) for p in st.z_packets),
+                   ev(st.x_packet), ev(st.y_packet))
+
+    m = st.s.m_values()
+    coeffs = st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0)
+    zs = tuple(boost(p, cfg.gamma * cfg.beta * t * mm)
+               for mm, p in zip(m, st.z_packets))
+    return LoopState(st.s, coeffs, zs, st.x_packet, st.y_packet)
+
+
+def loop_evolve_segments(st: LoopState, segments: Sequence[GradientSegment],
+                         cfg: ExperimentConfig) -> LoopState:
+    for seg in segments:
+        st = loop_evolve(st, seg.duration, cfg.with_beta(seg.beta))
+    return st
+
+
+def _evolve_until(st0: LoopState, segments: Sequence[GradientSegment],
+                  cfg: ExperimentConfig, t: float) -> LoopState:
+    """State after the first t seconds of the schedule."""
+    st = st0
+    remaining = t
+    for seg in segments:
+        if remaining <= 0:
+            break
+        step = min(seg.duration, remaining)
+        if step > 0:
+            st = loop_evolve_segments(st, [GradientSegment(seg.beta, step)], cfg)
+        remaining -= step
+    return st
+
+
+def loop_entropy(st: LoopState) -> float:
+    """Entanglement entropy from the d^2 scalar overlaps."""
+    d = st.s.dim
+    rho = np.empty((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            rho[i, j] = st.coeffs[i] * st.coeffs[j].conjugate() * overlap(
+                st.z_packets[j], st.z_packets[i])
+    lams = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    lams = lams[lams > 1e-14]
+    return max(0.0, float(-np.sum(lams * np.log(lams))))
+
+
+def loop_entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
+    st0 = loop_gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
+    times = np.linspace(0.0, sc.total_duration, samples)
+    out = np.empty((samples, 2))
+    for i, t in enumerate(times):
+        out[i] = t, loop_entropy(_evolve_until(st0, sc.segments, sc.cfg, t))
+    return out
+
+
+def loop_density(st: LoopState, grid: Grid) -> np.ndarray:
+    """sum_m |c_m|^2 |psi_m(z)|^2, one packet at a time."""
+    z = grid.z
+    return sum(abs(c) ** 2 * np.exp(2.0 * ((p.a.real * z + p.b.real) * z + p.c.real))
+               for c, p in zip(st.coeffs, st.z_packets))

@@ -49,6 +49,7 @@ from sgsim import (
     spin_rdm,
     spinor_l2_distance,
     split_step_evolve,
+    stack_packets,
     conjugate_series,
 )
 from sgsim.harness import SILVER_GRID
@@ -173,7 +174,7 @@ def test_criterion_04_momentum_kick():
         st0 = gaussian_hybrid(HALF, EQUAL_HALF, cfg)
         st0 = HybridState(
             s=st0.s, coeffs=st0.coeffs,
-            z_packets=tuple(boost(p, k0) for p in st0.z_packets),
+            z=stack_packets(boost(p, k0) for p in st0.z_packets),
             x_packet=st0.x_packet, y_packet=st0.y_packet)
         st = evolve(st0, t, cfg)
         for m, p in zip(HALF.m_values(), st.z_packets):
@@ -219,7 +220,7 @@ def _orthogonal_packet_state(spin: SpinQN) -> HybridState:
     return HybridState(
         s=spin,
         coeffs=np.full(d, 1.0 / math.sqrt(d), dtype=complex),
-        z_packets=tuple(from_gaussian(1.0, z0, 0.0) for z0 in centers),
+        z=stack_packets(from_gaussian(1.0, z0, 0.0) for z0 in centers),
         x_packet=rest, y_packet=rest)
 
 

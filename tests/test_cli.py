@@ -235,6 +235,22 @@ def test_nan_coefficient_exits_2_naming_the_coefficients(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("key, value", [("twice_s", 1.5), ("twice_s", True),
+                                        ("oracle_steps", 2.7)])
+def test_non_integral_integer_key_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    code = main(["run", write_doc(tmp_path, {**SILVER_DOC, key: value})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be an integer" in err
+
+
+def test_entropy_rejects_huge_sample_count(tmp_path, capsys):
+    code = main(["entropy", write_doc(tmp_path, SCALED_DOC), "--samples", str(10**12)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "samples must be <=" in err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])

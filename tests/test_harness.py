@@ -22,6 +22,7 @@ from sgsim import (
     bch_check,
     default_silver_config,
     entropy_timeline,
+    interferometer_check,
     interferometer_segments,
     load_scenario,
     oracle_density_error,
@@ -92,6 +93,13 @@ def test_interferometer_segments_shape():
     assert [seg.beta for seg in segs] == [0.5, -0.5, 0.5]
     assert [seg.duration for seg in segs] == [1.0, 2.0, 1.0]
     assert sum(seg.beta * seg.duration for seg in segs) == 0.0
+
+
+def test_interferometer_check_recombines_the_beams():
+    rows = interferometer_check(scaled_scenario(oracle_steps=256), 0.5)
+    assert [name for name, _, _ in rows] == ["net_kick_rel", "entropy_nats",
+                                             "oracle_l2_error"]
+    assert all(value <= tol for _, value, tol in rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +339,33 @@ def test_scenario_from_dict_rejects_bad_coefficient():
             scenario_from_dict({"twice_s": 1, "coeffs": [bad, 1]})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("twice_s", 1.5),
+    ("twice_s", True),
+    ("twice_s", "1"),
+    ("grid.n", 4096.9),
+    ("grid.n", True),
+    ("oracle_steps", 2.7),
+    ("oracle_steps", False),
+    ("oracle_steps", math.inf),
+])
+def test_scenario_from_dict_rejects_non_integral_integer_keys(key, value):
+    doc = {"twice_s": 1, "coeffs": [1, 1]}
+    if key == "grid.n":
+        doc["grid"] = {"n": value}
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        scenario_from_dict(doc)
+
+
+def test_scenario_from_dict_accepts_integral_floats():
+    sc = scenario_from_dict({"twice_s": 2.0, "coeffs": [1, 0, 1], "grid": {"n": 1024.0},
+                             "oracle_steps": 64.0})
+    assert (sc.spin.twice_s, sc.grid.n, sc.oracle_steps) == (2, 1024, 64)
+    assert all(type(v) is int for v in (sc.spin.twice_s, sc.grid.n, sc.oracle_steps))
+
+
 def test_scenario_from_dict_rejects_non_object_root():
     with pytest.raises(ValueError, match="JSON object"):
         scenario_from_dict([1, 2, 3])
@@ -356,18 +391,25 @@ NO_SCIPY_CHILD = """
 import sys
 import sgsim
 from sgsim import SpinQN, harness
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
+assert not loaded("numpy.fft", "numpy.random", "scipy"), loaded("numpy.fft", "numpy.random", "scipy")
 sc = harness.load_scenario("configs/scaled_small.json")
 assert "compare-table" in sc.outputs
 assert harness.run(sc).oracle_l2_error <= 1e-12
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded[:5]
+assert not loaded("scipy"), loaded("scipy")[:5]
 assert harness.bch_check(SpinQN(1)).state_error <= 1e-6
+assert not loaded("scipy"), loaded("scipy")[:5]
 """
 
 
 def test_import_and_split_step_run_load_no_scipy():
-    """scipy is needed only by the dense check; the import and a reference
-    run in a fresh interpreter must not load it."""
+    """scipy is needed only by matrix_exponential's non-Hermitian fallback;
+    the import, a reference run and the dense check in a fresh interpreter
+    must not load it.  The import loads neither numpy.fft nor numpy.random
+    either."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], cwd=root, env=env,

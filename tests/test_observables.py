@@ -29,6 +29,7 @@ from sgsim import (
     semiclassical,
     spatial_reduction_entropy,
     spin_rdm,
+    stack_packets,
 )
 
 from sgsim.harness import SILVER_GRID
@@ -47,7 +48,7 @@ def make_state(coeffs, centers, sigma: float = 1.0) -> HybridState:
     return HybridState(
         s=s,
         coeffs=coeffs,
-        z_packets=tuple(from_gaussian(sigma, z0, 0.0) for z0 in centers),
+        z=stack_packets(from_gaussian(sigma, z0, 0.0) for z0 in centers),
         x_packet=rest,
         y_packet=rest,
     )
@@ -235,10 +236,10 @@ def test_entropy_invariant_under_phases():
     rephased = HybridState(
         s=base.s,
         coeffs=base.coeffs * np.exp(1j * np.array([0.3, -1.2])),
-        z_packets=(
+        z=stack_packets((
             global_phase(base.z_packets[0], 0.9),
             base.z_packets[1],
-        ),
+        )),
         x_packet=base.x_packet,
         y_packet=base.y_packet,
     )
@@ -250,6 +251,35 @@ def test_entropy_invariant_under_phases():
 def test_entropy_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
         entanglement_entropy(np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rdm_and_entropy_reject_non_finite_matrices(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SpinRDM(np.full((2, 2), bad, dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        entanglement_entropy(np.full((2, 2), bad))
+    stack = np.array([np.eye(2) / 2.0] * 3, dtype=complex)
+    stack[1, 0, 1] = stack[1, 1, 0] = bad  # one bad matrix in a stack
+    with pytest.raises(ValueError, match="finite"):
+        SpinRDM(stack)
+    with pytest.raises(ValueError, match="finite"):
+        entanglement_entropy(stack)
+
+
+def test_density_rejects_nan_values():
+    values = np.full(WIDE_GRID.n, 1.0 / WIDE_GRID.length)
+    values[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DensityProfile(WIDE_GRID, values)
+
+
+def test_entropy_of_a_stack_is_per_matrix():
+    stack = np.array([np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.9, 0.1])])
+    want = [0.0, math.log(2.0), -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))]
+    assert np.allclose(entanglement_entropy(stack), want, rtol=0, atol=1e-15)
+    assert np.allclose(entanglement_entropy(SpinRDM(stack.astype(complex))), want,
+                       rtol=0, atol=1e-15)
 
 
 def test_entropy_accepts_plain_matrix():

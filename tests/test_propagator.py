@@ -8,7 +8,7 @@ from sgsim import (GradientSegment, Grid, HybridState, SpinQN, apply_u1, apply_u
                    apply_u2b, apply_u2c, dense_factored_matrix, dense_hamiltonian,
                    evolve, evolve_segments, from_gaussian, gaussian_hybrid,
                    matrix_exponential, moments, sample, sample_state, scaled_config,
-                   semiclassical, u2c_phase)
+                   semiclassical, stack_packets, u2c_phase)
 
 HALF = SpinQN(1)
 EQUAL = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -18,18 +18,18 @@ def test_hybrid_state_validation():
     cfg = scaled_config()
     st = gaussian_hybrid(HALF, EQUAL, cfg)
     with pytest.raises(ValueError):
-        HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z_packets,
+        HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z,
                     st.x_packet, st.y_packet)
     with pytest.raises(ValueError):
-        HybridState(HALF, np.array([1.0, 1.0]), st.z_packets,
+        HybridState(HALF, np.array([1.0, 1.0]), st.z,
                     st.x_packet, st.y_packet)
     bad_packet = from_gaussian(1.0)
     bad_packet = type(bad_packet)(bad_packet.a, bad_packet.b, bad_packet.c + 0.3)
     with pytest.raises(ValueError, match="unit norm"):
-        HybridState(HALF, EQUAL, (bad_packet, st.z_packets[1]),
+        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1])),
                     st.x_packet, st.y_packet)
     with pytest.raises(ValueError, match="normalized"):
-        HybridState(HALF, np.array([np.nan, 1.0]), st.z_packets,
+        HybridState(HALF, np.array([np.nan, 1.0]), st.z,
                     st.x_packet, st.y_packet)
 
 
@@ -75,8 +75,10 @@ def test_u2b_translates_per_component():
         assert shift == pytest.approx(semiclassical(cfg, 0.9, m).dz, abs=1e-15)
     # m = 0 component never moves
     assert state_distance(
-        HybridState(st.s, st.coeffs, (st.z_packets[1],) * 3, st.x_packet, st.y_packet),
-        HybridState(st.s, st.coeffs, (out.z_packets[1],) * 3, st.x_packet, st.y_packet),
+        HybridState(st.s, st.coeffs, stack_packets((st.z_packets[1],) * 3),
+                    st.x_packet, st.y_packet),
+        HybridState(st.s, st.coeffs, stack_packets((out.z_packets[1],) * 3),
+                    st.x_packet, st.y_packet),
     ) <= 1e-15
 
 
