@@ -29,8 +29,9 @@ class ExperimentConfig:
     hbar          reduced Planck constant
     b0            uniform field along z inside the magnet
     beta          field gradient dB_z/dz
-    v0            longitudinal beam speed (x direction)
-    sigma_x/y/z   initial Gaussian widths of the wavepacket
+    v0            beam speed along the beam axis; sets only the transit time
+    sigma_x/y/z   initial Gaussian widths; x and y motion factors out of
+                  every output, so sigma_x/y are validated but enter none
     magnet_length extent of the field region along the beam
     """
 

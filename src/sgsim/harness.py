@@ -21,7 +21,8 @@ import numpy as np
 from .config import BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegment, Grid
 from .observables import (entanglement_entropy, peak_separation, position_density_z,
                           spin_rdm)
-from .oracle import SampledSpinor, matrix_exponential, dense_hamiltonian, split_step_evolve
+from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
+                     split_step_evolve)
 from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, sample_state)
 from .spin_algebra import SpinQN
@@ -254,9 +255,12 @@ def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float
     """
     cfg = sc.cfg
     sc = dataclasses.replace(sc, segments=interferometer_segments(cfg.beta, T))
+    kick_scale = abs(cfg.hbar * cfg.gamma * cfg.beta * T) * max(sc.spin.s, 0.5)
+    if kick_scale == 0:
+        raise ValueError(f"no beam split to recombine: the first leg's kick is 0 "
+                         f"(gamma {cfg.gamma}, beta {cfg.beta}, T {T})")
     st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, cfg)
     st = evolve_segments(st0, list(sc.segments), cfg)
-    kick_scale = abs(cfg.hbar * cfg.gamma * cfg.beta * T) * max(sc.spin.s, 0.5)
     kick = np.abs(moments(st.z, cfg.hbar).mean_momentum - moments(st0.z, cfg.hbar).mean_momentum)
     return [("net_kick_rel", float(kick.max()) / kick_scale, KICK_REL_TOL),
             ("entropy_nats", entanglement_entropy(spin_rdm(st)), ENTROPY_TOL),
@@ -288,6 +292,8 @@ def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
     """Compare the factored propagator with the brute-force exponential of
     the same discrete Hamiltonian, in order-one scaled units.
     """
+    if spin.dim * n > EXPM_SIZE_LIMIT:
+        raise ValueError(f"dense check capped at (2s+1) n = {EXPM_SIZE_LIMIT}, got {spin.dim * n}")
     grid = Grid(z_min=-window, z_max=window, n=n)
     cfg = scaled_config()
     u_fact = dense_factored_matrix(grid, t, cfg, spin)
@@ -331,6 +337,14 @@ _TOP_KEYS = set(_CONFIG_KEYS) | {"twice_s", "coeffs", "segments", "grid",
                                  "oracle_steps", "outputs"}
 
 
+def _check_keys(doc, allowed: set[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _parse_coeff(value) -> complex:
     if isinstance(value, (int, float)):
         c = complex(value)
@@ -356,11 +370,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     typos fail loudly.  Omitted physics keys fall back to the silver
     defaults; omitted segments mean one full transit at the configured beta.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("config root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(doc, _TOP_KEYS, "config")
     if "twice_s" not in doc or "coeffs" not in doc:
         raise ValueError("config requires twice_s and coeffs")
 
@@ -379,6 +389,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     coeffs = coeffs / nrm
 
     if "segments" in doc:
+        for seg in doc["segments"]:
+            _check_keys(seg, {"beta_tesla_per_m", "duration_s"}, "segment")
         segments = tuple(
             GradientSegment(float(seg["beta_tesla_per_m"]), float(seg["duration_s"]))
             for seg in doc["segments"])
@@ -386,11 +398,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         segments = (GradientSegment(cfg.beta, cfg.transit_time),)
 
     grid_doc = doc.get("grid", {})
+    _check_keys(grid_doc, {"z_min_m", "z_max_m", "n"}, "grid")
     grid = Grid(
         z_min=float(grid_doc.get("z_min_m", SILVER_GRID.z_min)),
         z_max=float(grid_doc.get("z_max_m", SILVER_GRID.z_max)),
         n=_parse_int(grid_doc.get("n", SILVER_GRID.n), "grid.n"),
     )
+
+    outputs = doc.get("outputs", ["density"])
+    if not isinstance(outputs, list):
+        raise ValueError(f"outputs must be a list of names, got {outputs!r}")
 
     return Scenario(
         cfg=cfg,
@@ -399,7 +416,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         segments=segments,
         grid=grid,
         oracle_steps=_parse_int(doc.get("oracle_steps", SILVER_ORACLE_STEPS), "oracle_steps"),
-        outputs=tuple(doc.get("outputs", ("density",))),
+        outputs=tuple(outputs),
     )
 
 

@@ -85,10 +85,9 @@ def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
 def spin_rdm(st: HybridState) -> SpinRDM:
     """Trace out position: rho_{mn} = c_m conj(c_n) <psi_n|psi_m>.
 
-    The shared x and y packets contribute unit factors, so only z-packet
-    overlaps enter.  Coinciding packets give the pure state c c^dagger;
-    far-separated packets kill the off-diagonal terms.  A state with a
-    time axis gives a stack of matrices.
+    Coinciding packets give the pure state c c^dagger; far-separated
+    packets kill the off-diagonal terms.  A state with a time axis gives a
+    stack of matrices.
     """
     c = st.coeffs
     rho = c[..., :, None] * c[..., None, :].conj() * overlap(st.z[..., None, :],
@@ -98,18 +97,11 @@ def spin_rdm(st: HybridState) -> SpinRDM:
 
 def entanglement_entropy(rho: SpinRDM | np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy -sum lam ln lam in nats; one value per matrix
-    of a stack.
+    of a stack.  A raw array must pass the SpinRDM checks.
     """
-    if isinstance(rho, SpinRDM):
-        lams = rho.eigenvalues
-    else:
-        m = np.asarray(rho)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix must be finite")
-        trace = m.trace(axis1=-2, axis2=-1)
-        if not (abs(trace - 1.0) <= 1e-8).all():
-            raise ValueError(f"trace must be 1 within 1e-8, got {trace}")
-        lams = np.linalg.eigvalsh(m)
+    if not isinstance(rho, SpinRDM):
+        rho = SpinRDM(np.asarray(rho))
+    lams = rho.eigenvalues
     kept = np.where(lams > ENTROPY_EIG_CLIP, lams, 1.0)  # 1 ln 1 = 0
     entropy = -np.sum(kept * np.log(kept), axis=-1)
     entropy = np.where(entropy > 0.0, entropy, 0.0)  # +0.0, never -0.0

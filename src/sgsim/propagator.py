@@ -8,7 +8,7 @@ pieces, applied rightmost first:
   quadratic spin phase   coefficient phase -hbar gamma^2 beta^2 m^2 t^3/(6M)
   spin-dependent shift   z packet of component m translated by
                          gamma beta hbar m t^2 / (2M)
-  free flight            every packet free-evolves for t
+  free flight            every z packet free-evolves for t
   field kick             z packet boosted by gamma beta t m, coefficient
                          Larmor phase gamma m t B0
 
@@ -43,20 +43,17 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """Position x spin product-form state: coefficients c_m against a
-    per-m z packet, with x and y packets shared by every component
-    (nothing in the Hamiltonian couples them to the spin).
+    """The z spinor: coefficients c_m against a per-m z packet.  Free motion
+    along x and y never couples to the spin, so it factors out of every
+    output and is not stored.
 
     coeffs and the fields of z have shape (..., d), column i belonging to
-    m = s.m_values()[i]; any leading axes (times, in a batched evolve) are
-    shared with x_packet and y_packet.
+    m = s.m_values()[i]; any leading axes are times, in a batched evolve.
     """
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
     z: QuadExpPacket  # fields (..., d)
-    x_packet: QuadExpPacket
-    y_packet: QuadExpPacket
 
     def __post_init__(self) -> None:
         d = self.s.dim
@@ -67,17 +64,15 @@ class HybridState:
         total = (np.abs(self.coeffs) ** 2).sum(-1)
         if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
-        for name, p in (("x", self.x_packet), ("y", self.y_packet), ("z", self.z)):
-            # c stores log-amplitude; one ulp of a large exponent already
-            # moves the norm by |c| * eps, so the guard scales with it.
-            nrm = norm(p)
-            if not (abs(nrm - 1.0) <= PACKET_NORM_TOL * np.maximum(1.0, abs(p.c.real))).all():
-                raise ValueError(f"{name} packet must be unit norm, got {nrm}")
+        # c stores log-amplitude; one ulp of a large exponent already moves
+        # the norm by |c| * eps, so the guard scales with it.
+        nrm = norm(self.z)
+        if not (abs(nrm - 1.0) <= PACKET_NORM_TOL * np.maximum(1.0, abs(self.z.c.real))).all():
+            raise ValueError(f"z packet must be unit norm, got {nrm}")
 
     def at(self, i: int) -> "HybridState":
         """Row i of a state evolved with a (s, 1) array of times."""
-        return HybridState(self.s, self.coeffs[i], self.z[i], self.x_packet[i, 0],
-                           self.y_packet[i, 0])
+        return HybridState(self.s, self.coeffs[i], self.z[i])
 
     @property
     def z_packets(self) -> tuple[QuadExpPacket, ...]:
@@ -88,8 +83,8 @@ class HybridState:
 
 
 def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> HybridState:
-    """Initial beam state: Gaussians at the origin, moving along the beam
-    axis y at v0, at rest in x and z, with the given spin coefficients.
+    """Initial beam state: a Gaussian at rest at z = 0 in every spin
+    component, with the given spin coefficients.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     nrm = np.sqrt((np.abs(coeffs) ** 2).sum())
@@ -99,43 +94,40 @@ def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> Hyb
         s=s,
         coeffs=coeffs / nrm,
         z=stack_packets((from_gaussian(cfg.sigma_z),) * s.dim),
-        x_packet=from_gaussian(cfg.sigma_x),
-        y_packet=from_gaussian(cfg.sigma_y, 0.0, cfg.mass * cfg.v0 / cfg.hbar),
     )
 
 
-# Each factor maps the parts (coeffs, z, x_packet, y_packet) of a state with
-# magnetic quantum numbers m to new parts; _apply checks the times, and
-# HybridState validates only what a public call returns.
+# Each factor maps the parts (coeffs, z) of a state with magnetic quantum
+# numbers m to new parts; _apply checks the times, and HybridState
+# validates only what a public call returns.
 
 def _u2c(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z, x, y = parts
-    return coeffs * np.exp(1j * u2c_phase(m, t, cfg)), z, x, y
+    coeffs, z = parts
+    return coeffs * np.exp(1j * u2c_phase(m, t, cfg)), z
 
 
 def _u2b(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z, x, y = parts
+    coeffs, z = parts
     scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
-    return coeffs, normalized(translate(z, scale * m)), x, y
+    return coeffs, normalized(translate(z, scale * m))
 
 
 def _u2a(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z, x, y = parts
-    ev = lambda p: normalized(free_evolve(p, t, cfg.mass, cfg.hbar))
-    return coeffs, ev(z), ev(x), ev(y)
+    coeffs, z = parts
+    return coeffs, normalized(free_evolve(z, t, cfg.mass, cfg.hbar))
 
 
 def _u1(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z, x, y = parts
+    coeffs, z = parts
     return (coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
-            boost(z, cfg.gamma * cfg.beta * t * m), x, y)
+            boost(z, cfg.gamma * cfg.beta * t * m))
 
 
 def _apply(factors, st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
     m = st.s.m_values()
-    parts = (st.coeffs, st.z, st.x_packet, st.y_packet)
+    parts = (st.coeffs, st.z)
     for factor in factors:
         parts = factor(m, parts, t, cfg)
     return HybridState(st.s, *parts)
@@ -152,7 +144,7 @@ def apply_u2b(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
 
 
 def apply_u2a(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Free evolution of every packet.
+    """Free evolution of every z packet.
 
     Renormalized explicitly: for fast carriers (k0 sigma >> 1) the exponent
     bookkeeping cancels large terms and the closed-form norm drifts at the

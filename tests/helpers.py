@@ -52,8 +52,6 @@ def state_distance(s1: HybridState, s2: HybridState) -> float:
             ph1 = cmath.phase(c1) + p1.c.imag
             ph2 = cmath.phase(c2) + p2.c.imag
             worst = max(worst, _circle_gap(ph1, ph2))
-    for p, q in [(s1.x_packet, s2.x_packet), (s1.y_packet, s2.y_packet)]:
-        worst = max(worst, packet_distance(p, q))
     return worst
 
 

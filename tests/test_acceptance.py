@@ -174,8 +174,7 @@ def test_criterion_04_momentum_kick():
         st0 = gaussian_hybrid(HALF, EQUAL_HALF, cfg)
         st0 = HybridState(
             s=st0.s, coeffs=st0.coeffs,
-            z=stack_packets(boost(p, k0) for p in st0.z_packets),
-            x_packet=st0.x_packet, y_packet=st0.y_packet)
+            z=stack_packets(boost(p, k0) for p in st0.z_packets))
         st = evolve(st0, t, cfg)
         for m, p in zip(HALF.m_values(), st.z_packets):
             expected = cfg.hbar * k0 + cfg.hbar * m * cfg.gamma * cfg.beta * t
@@ -216,12 +215,10 @@ def _orthogonal_packet_state(spin: SpinQN) -> HybridState:
     # Adjacent packets 30 sigma apart: overlaps ~1e-49, fully orthogonal.
     d = spin.dim
     centers = [30.0 * (d - 1) / 2 - 30.0 * i for i in range(d)]
-    rest = from_gaussian(1.0, 0.0, 0.0)
     return HybridState(
         s=spin,
         coeffs=np.full(d, 1.0 / math.sqrt(d), dtype=complex),
-        z=stack_packets(from_gaussian(1.0, z0, 0.0) for z0 in centers),
-        x_packet=rest, y_packet=rest)
+        z=stack_packets(from_gaussian(1.0, z0, 0.0) for z0 in centers))
 
 
 def test_criterion_06_entropy_limits():

@@ -92,7 +92,6 @@ def test_batched_evolve_rows_match_scalar_evolve():
         assert np.abs(row.coeffs - one.coeffs).max() <= 1e-14
         for f in "abc":
             assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-13
-            assert abs(getattr(row.y_packet, f) - getattr(one.y_packet, f)) <= 1e-13
         assert abs(entropies[i] - entanglement_entropy(spin_rdm(one))) <= 1e-14
 
 
@@ -111,21 +110,19 @@ def test_stacked_state_validation():
     st = gaussian_hybrid(SpinQN(1), np.ones(2), cfg)
     batch = evolve(st, np.array([[0.5], [1.0]]), cfg)
     with pytest.raises(ValueError, match="shape"):
-        HybridState(st.s, st.coeffs, stack_packets([from_gaussian(1.0)] * 3),
-                    st.x_packet, st.y_packet)
+        HybridState(st.s, st.coeffs, stack_packets([from_gaussian(1.0)] * 3))
     bad = batch.coeffs.copy()
     bad[1, 0] *= 1.001  # one time row off normalization
     with pytest.raises(ValueError, match="normalized"):
-        HybridState(batch.s, bad, batch.z, batch.x_packet, batch.y_packet)
+        HybridState(batch.s, bad, batch.z)
     c = batch.z.c.copy()
     c[0, 1] += 0.3  # one packet off unit norm
     with pytest.raises(ValueError, match="unit norm"):
-        HybridState(batch.s, batch.coeffs, QuadExpPacket(batch.z.a, batch.z.b, c),
-                    batch.x_packet, batch.y_packet)
+        HybridState(batch.s, batch.coeffs, QuadExpPacket(batch.z.a, batch.z.b, c))
     nan = batch.coeffs.copy()
     nan[0, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
-        HybridState(batch.s, nan, batch.z, batch.x_packet, batch.y_packet)
+        HybridState(batch.s, nan, batch.z)
 
 
 def test_packet_stack_validation():

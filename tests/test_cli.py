@@ -160,6 +160,15 @@ def test_interfere_recombination_checks_pass(tmp_path, capsys):
     assert "oracle_l2_error" in out
 
 
+@pytest.mark.parametrize("beta, T", [(0.0, "0.5"), (0.5, "0")])
+def test_interfere_without_beam_split_exits_2(tmp_path, capsys, beta, T):
+    doc = {**SCALED_DOC, "beta_tesla_per_m": beta}
+    code = main(["interfere", write_doc(tmp_path, doc), "--T", T])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no beam split" in err
+
+
 def test_interfere_requires_leg_duration(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["interfere", write_doc(tmp_path, SCALED_DOC)])
@@ -194,6 +203,13 @@ def test_bch_check_rejects_bad_spin(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err
+
+
+def test_bch_check_rejects_oversized_matrix_before_building_it(capsys):
+    code = main(["bch-check", "--spin", "2000", "--n", "256"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dense check capped" in err
 
 
 # ---------------------------------------------------------------------------

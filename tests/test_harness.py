@@ -318,8 +318,16 @@ def test_scenario_from_dict_full_document():
 
 
 def test_scenario_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        scenario_from_dict({"twice_s": 1, "coeffs": [1, 0], "betaa": 1.0})
+    """Typos fail at every level of the document, naming the key."""
+    seg = {"beta_tesla_per_m": 1.0, "duration_s": 1e-5}
+    for extra, match in [({"betaa": 1.0}, r"unknown config keys: \['betaa'\]"),
+                         ({"grid": {"N": 128}}, r"unknown grid keys: \['N'\]"),
+                         ({"grid": [128]}, "grid must be a JSON object"),
+                         ({"segments": [seg, {**seg, "durration_s": 2e-5}]},
+                          r"unknown segment keys: \['durration_s'\]"),
+                         ({"outputs": "density"}, "outputs must be a list")]:
+        with pytest.raises(ValueError, match=match):
+            scenario_from_dict({"twice_s": 1, "coeffs": [1, 0], **extra})
 
 
 def test_scenario_from_dict_requires_spin_and_coeffs():
@@ -406,10 +414,9 @@ assert not loaded("scipy"), loaded("scipy")[:5]
 
 
 def test_import_and_split_step_run_load_no_scipy():
-    """scipy is needed only by matrix_exponential's non-Hermitian fallback;
-    the import, a reference run and the dense check in a fresh interpreter
-    must not load it.  The import loads neither numpy.fft nor numpy.random
-    either."""
+    """scipy is a test-only dependency: the import, a reference run and
+    the dense check in a fresh interpreter must not load it.  The import
+    loads neither numpy.fft nor numpy.random either."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], cwd=root, env=env,

@@ -38,19 +38,16 @@ WIDE_GRID = Grid(z_min=-40.0, z_max=40.0, n=2048)
 
 
 def make_state(coeffs, centers, sigma: float = 1.0) -> HybridState:
-    """Spin-1/2 (or higher) hybrid state with unit-width transverse packets
-    and z packets at the given centers.
+    """Spin-1/2 (or higher) hybrid state with z packets at the given
+    centers.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     coeffs = coeffs / np.linalg.norm(coeffs)
     s = SpinQN(twice_s=len(coeffs) - 1)
-    rest = from_gaussian(1.0, 0.0, 0.0)
     return HybridState(
         s=s,
         coeffs=coeffs,
         z=stack_packets(from_gaussian(sigma, z0, 0.0) for z0 in centers),
-        x_packet=rest,
-        y_packet=rest,
     )
 
 
@@ -240,8 +237,6 @@ def test_entropy_invariant_under_phases():
             global_phase(base.z_packets[0], 0.9),
             base.z_packets[1],
         )),
-        x_packet=base.x_packet,
-        y_packet=base.y_packet,
     )
     e1 = entanglement_entropy(spin_rdm(base))
     e2 = entanglement_entropy(spin_rdm(rephased))
@@ -251,6 +246,11 @@ def test_entropy_invariant_under_phases():
 def test_entropy_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
         entanglement_entropy(np.eye(2))
+    # unit trace alone is not enough: these read ln 2 and 0 if accepted
+    with pytest.raises(ValueError, match="Hermitian"):
+        entanglement_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        entanglement_entropy(np.diag([1.5, -0.5]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

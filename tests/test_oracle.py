@@ -173,9 +173,14 @@ def test_matrix_exponential_basics():
 
 
 def test_matrix_exponential_general_fallback():
+    """Non-Hermitian input has no fallback: it is rejected.  Its Hermitian
+    part still matches scipy's scaling-and-squaring."""
     rng = np.random.default_rng(4)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(matrix_exponential(A, 0.2), sla.expm(0.2 * A),
+    with pytest.raises(ValueError, match="Hermitian"):
+        matrix_exponential(A, 0.2)
+    H = (A + A.conj().T) / 2
+    np.testing.assert_allclose(matrix_exponential(H, 0.2j), sla.expm(0.2j * H),
                                atol=1e-12)
 
 

@@ -18,19 +18,15 @@ def test_hybrid_state_validation():
     cfg = scaled_config()
     st = gaussian_hybrid(HALF, EQUAL, cfg)
     with pytest.raises(ValueError):
-        HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z,
-                    st.x_packet, st.y_packet)
+        HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z)
     with pytest.raises(ValueError):
-        HybridState(HALF, np.array([1.0, 1.0]), st.z,
-                    st.x_packet, st.y_packet)
+        HybridState(HALF, np.array([1.0, 1.0]), st.z)
     bad_packet = from_gaussian(1.0)
     bad_packet = type(bad_packet)(bad_packet.a, bad_packet.b, bad_packet.c + 0.3)
     with pytest.raises(ValueError, match="unit norm"):
-        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1])),
-                    st.x_packet, st.y_packet)
+        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1])))
     with pytest.raises(ValueError, match="normalized"):
-        HybridState(HALF, np.array([np.nan, 1.0]), st.z,
-                    st.x_packet, st.y_packet)
+        HybridState(HALF, np.array([np.nan, 1.0]), st.z)
 
 
 def test_gaussian_hybrid_rejects_non_finite_or_zero_coeffs():
@@ -43,10 +39,6 @@ def test_gaussian_hybrid_carrier():
     cfg = scaled_config()
     st = gaussian_hybrid(HALF, np.array([2.0, 2.0]), cfg)
     assert np.sum(np.abs(st.coeffs) ** 2) == pytest.approx(1.0, abs=1e-14)
-    # beam moves along y at v0
-    assert moments(st.y_packet, cfg.hbar).mean_momentum == pytest.approx(
-        cfg.mass * cfg.v0, rel=1e-12)
-    assert moments(st.x_packet, cfg.hbar).mean_momentum == 0.0
 
 
 def test_u2c_identity_and_phases():
@@ -75,10 +67,8 @@ def test_u2b_translates_per_component():
         assert shift == pytest.approx(semiclassical(cfg, 0.9, m).dz, abs=1e-15)
     # m = 0 component never moves
     assert state_distance(
-        HybridState(st.s, st.coeffs, stack_packets((st.z_packets[1],) * 3),
-                    st.x_packet, st.y_packet),
-        HybridState(st.s, st.coeffs, stack_packets((out.z_packets[1],) * 3),
-                    st.x_packet, st.y_packet),
+        HybridState(st.s, st.coeffs, stack_packets((st.z_packets[1],) * 3)),
+        HybridState(st.s, st.coeffs, stack_packets((out.z_packets[1],) * 3)),
     ) <= 1e-15
 
 
@@ -97,11 +87,6 @@ def test_u2a_free_flight():
     cfg = scaled_config()
     st = gaussian_hybrid(HALF, EQUAL, cfg)
     assert state_distance(apply_u2a(st, 0.0, cfg), st) <= 1e-15
-    out = apply_u2a(st, 0.7, cfg)
-    # the y packet rides the beam: centroid v0 t
-    assert moments(out.y_packet, cfg.hbar).centroid == pytest.approx(
-        cfg.v0 * 0.7, rel=1e-12)
-    assert moments(out.x_packet, cfg.hbar).centroid == 0.0
 
 
 def test_u2a_commutes_with_u2b():
