@@ -28,10 +28,10 @@ BCH_TOL = 1e-6
 
 
 def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
+    line = ",".join(["{:.14e}"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.14e}" for x in row) + "\n")
+        fh.writelines(line.format(*row) for row in rows.tolist())
 
 
 def _print_report(rep: harness.Report) -> None:

@@ -291,9 +291,15 @@ def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
               window: float = 16.0) -> BCHCheck:
     """Compare the factored propagator with the brute-force exponential of
     the same discrete Hamiltonian, in order-one scaled units.
+
+    Both operators are block diagonal in m, so both are built, and compared,
+    as (2s+1, n, n) stacks of their blocks: operator_error is the largest
+    entry of any block's difference, and each probe is applied to each
+    block.  The stack is capped at EXPM_SIZE_LIMIT^2 entries.
     """
-    if spin.dim * n > EXPM_SIZE_LIMIT:
-        raise ValueError(f"dense check capped at (2s+1) n = {EXPM_SIZE_LIMIT}, got {spin.dim * n}")
+    if spin.dim * n * n > EXPM_SIZE_LIMIT**2:
+        raise ValueError(f"dense check capped at (2s+1) n^2 = {EXPM_SIZE_LIMIT**2} entries, "
+                         f"got {spin.dim * n * n}")
     grid = Grid(z_min=-window, z_max=window, n=n)
     cfg = scaled_config()
     u_fact = dense_factored_matrix(grid, t, cfg, spin)
@@ -303,17 +309,14 @@ def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
     diff = u_fact - u_exact
     operator_error = float(np.abs(diff).max())
 
-    state_error = 0.0
+    probes = []
     for sigma in (1.0, 1.4):
         for z0 in (-4.0, 0.0, 3.0):
             for k0 in (-1.0, 0.0, 1.5):
                 probe = sample(from_gaussian(sigma, z0, k0), grid)
-                probe /= np.linalg.norm(probe)
-                for i in range(spin.dim):
-                    vec = np.zeros(spin.dim * n, dtype=complex)
-                    vec[i * n:(i + 1) * n] = probe
-                    err = np.linalg.norm(diff @ vec)
-                    state_error = max(state_error, float(err))
+                probes.append(probe / np.linalg.norm(probe))
+    # column j of block i is diff_i applied to probe j
+    state_error = float(np.linalg.norm(diff @ np.transpose(probes), axis=-2).max())
     return BCHCheck(state_error=state_error, operator_error=operator_error)
 
 
@@ -333,6 +336,7 @@ _CONFIG_KEYS = {
     "sigma_z_m": "sigma_z",
     "magnet_length_m": "magnet_length",
 }
+_SEGMENT_KEYS = ("beta_tesla_per_m", "duration_s")  # GradientSegment's argument order
 _TOP_KEYS = set(_CONFIG_KEYS) | {"twice_s", "coeffs", "segments", "grid",
                                  "oracle_steps", "outputs"}
 
@@ -345,24 +349,58 @@ def _check_keys(doc, allowed: set[str], what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _parse_coeff(value) -> complex:
-    if isinstance(value, (int, float)):
+def _is_number(value) -> bool:
+    """A JSON number that fits a float.  bool is an int subclass in Python,
+    but not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer literal beyond 1.8e308
+        return False
+    return True
+
+
+def _parse_coeff(value, key: str) -> complex:
+    """A number or an [re, im] pair from JSON; bools are not numbers."""
+    if _is_number(value):
         c = complex(value)
-    elif isinstance(value, list) and len(value) == 2:
+    elif isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         c = complex(value[0], value[1])
     else:
-        raise ValueError(f"coefficient must be a number or [re, im] pair, got {value!r}")
+        raise ValueError(f"{key}: coefficient must be a number or [re, im] pair, "
+                         f"got {value!r}")
     if not cmath.isfinite(c):
-        raise ValueError(f"coefficients must be finite, got {value!r}")
+        raise ValueError(f"{key}: coefficients must be finite, got {value!r}")
     return c
 
 
 def _parse_int(value, key: str) -> int:
     """An integer from JSON; a bool or a non-integral number is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not _is_number(value) or not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _parse_float(value, key: str) -> float:
+    """A number from JSON; a bool, a string or null is an error."""
+    if not _is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_segment(seg, where: str) -> GradientSegment:
+    _check_keys(seg, set(_SEGMENT_KEYS), "segment")
+    missing = [key for key in _SEGMENT_KEYS if key not in seg]
+    if missing:
+        raise ValueError(f"{where} requires {' and '.join(missing)}")
+    return GradientSegment(*(_parse_float(seg[key], f"{where}.{key}") for key in _SEGMENT_KEYS))
+
+
+def _require_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -378,36 +416,32 @@ def scenario_from_dict(doc: dict) -> Scenario:
     cfg_kwargs = {field: getattr(silver, field) for field in _CONFIG_KEYS.values()}
     for key, field in _CONFIG_KEYS.items():
         if key in doc:
-            cfg_kwargs[field] = float(doc[key])
+            cfg_kwargs[field] = _parse_float(doc[key], key)
     cfg = ExperimentConfig(**cfg_kwargs)
 
     spin = SpinQN(_parse_int(doc["twice_s"], "twice_s"))
-    coeffs = np.array([_parse_coeff(v) for v in doc["coeffs"]])
+    coeffs = np.array([_parse_coeff(v, f"coeffs[{i}]")
+                       for i, v in enumerate(_require_list(doc["coeffs"], "coeffs"))])
     nrm = np.linalg.norm(coeffs)
     if nrm == 0:
         raise ValueError("coefficients are all zero")
     coeffs = coeffs / nrm
 
     if "segments" in doc:
-        for seg in doc["segments"]:
-            _check_keys(seg, {"beta_tesla_per_m", "duration_s"}, "segment")
-        segments = tuple(
-            GradientSegment(float(seg["beta_tesla_per_m"]), float(seg["duration_s"]))
-            for seg in doc["segments"])
+        segments = tuple(_parse_segment(seg, f"segments[{i}]")
+                         for i, seg in enumerate(_require_list(doc["segments"], "segments")))
     else:
         segments = (GradientSegment(cfg.beta, cfg.transit_time),)
 
     grid_doc = doc.get("grid", {})
     _check_keys(grid_doc, {"z_min_m", "z_max_m", "n"}, "grid")
     grid = Grid(
-        z_min=float(grid_doc.get("z_min_m", SILVER_GRID.z_min)),
-        z_max=float(grid_doc.get("z_max_m", SILVER_GRID.z_max)),
+        z_min=_parse_float(grid_doc.get("z_min_m", SILVER_GRID.z_min), "grid.z_min_m"),
+        z_max=_parse_float(grid_doc.get("z_max_m", SILVER_GRID.z_max), "grid.z_max_m"),
         n=_parse_int(grid_doc.get("n", SILVER_GRID.n), "grid.n"),
     )
 
-    outputs = doc.get("outputs", ["density"])
-    if not isinstance(outputs, list):
-        raise ValueError(f"outputs must be a list of names, got {outputs!r}")
+    outputs = _require_list(doc.get("outputs", ["density"]), "outputs")
 
     return Scenario(
         cfg=cfg,

@@ -6,8 +6,10 @@ H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
 * split_step_evolve: Strang-split Fourier time stepping of all non-zero
   spin components at once, as one (d, n) array with one batched FFT per
   half step (H is diagonal in m, so components never mix);
-* dense_hamiltonian + matrix_exponential: the full (n d) x (n d) matrix
-  propagator for desk-size grids, by exact eigendecomposition.
+* dense_hamiltonian + matrix_exponential: the matrix propagator for
+  desk-size grids, by exact eigendecomposition.  H commutes with S_z, so
+  it is kept as the (d, n, n) stack of its blocks, one per m, and all d
+  blocks are exponentiated in one stacked call.
 
 The gradient feeds momentum into each component at rate gamma beta m.  At
 silver-atom scale the accumulated kick (~5e9 per meter) dwarfs any
@@ -186,8 +188,10 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
 
 
 def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarray:
-    """(n d) x (n d) matrix of H on the periodic grid: spectral kinetic term,
-    diagonal potential, block-diagonal in m (descending basis order).
+    """(d, n, n) stack of the blocks of H on the periodic grid, one per m in
+    descending order: spectral kinetic term plus diagonal potential.  H
+    commutes with S_z, so the blocks between different m are zero and are
+    not stored.
     """
     if grid.n > DENSE_N_LIMIT:
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
@@ -195,29 +199,32 @@ def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarra
     F = np.fft.fft(np.eye(n), norm="ortho")
     kinetic = F.conj().T @ np.diag(cfg.hbar**2 * grid.k**2 / (2.0 * cfg.mass)) @ F
     kinetic = (kinetic + kinetic.conj().T) / 2.0
-    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
-    for i, m in enumerate(s.m_values()):
-        potential = np.diag(-cfg.gamma * (cfg.b0 + cfg.beta * grid.z) * cfg.hbar * m)
-        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = kinetic + potential
+    potential = (-cfg.gamma * (cfg.b0 + cfg.beta * grid.z) * cfg.hbar) * s.m_values()[:, None]
+    out = np.repeat(kinetic[None], s.dim, axis=0)
+    diag = np.arange(n)
+    out[:, diag, diag] += potential
     return out
 
 
 def matrix_exponential(H: np.ndarray, scale: complex) -> np.ndarray:
-    """expm(scale H) for Hermitian H, through an exact eigendecomposition;
-    anything else is rejected.
+    """expm(scale H) for a Hermitian H, or for each matrix of a (..., N, N)
+    stack of them, through one stacked exact eigendecomposition; anything
+    else is rejected.  The Hermitian tolerance scales with the largest
+    entry of the whole stack, and each matrix is capped at EXPM_SIZE_LIMIT.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got {H.shape}")
-    if H.shape[0] > EXPM_SIZE_LIMIT:
-        raise ValueError(f"matrix exponential capped at {EXPM_SIZE_LIMIT}, got {H.shape[0]}")
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+        raise ValueError(f"H must be square or a stack of square matrices, got {H.shape}")
+    if H.shape[-1] > EXPM_SIZE_LIMIT:
+        raise ValueError(f"matrix exponential capped at {EXPM_SIZE_LIMIT}, got {H.shape[-1]}")
     if not np.all(np.isfinite(H)):
         raise ValueError("H has non-finite entries")
-    herm_defect = np.abs(H - H.conj().T).max()
+    Hh = np.swapaxes(H.conj(), -1, -2)
+    herm_defect = np.abs(H - Hh).max()
     if not herm_defect <= 1e-12 * max(1.0, np.abs(H).max()):
         raise ValueError(f"H must be Hermitian, got a defect of {herm_defect:.3e}")
-    w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
-    return (Q * np.exp(scale * w)) @ Q.conj().T
+    w, Q = np.linalg.eigh((H + Hh) / 2.0)
+    return (Q * np.exp(scale * w)[..., None, :]) @ np.swapaxes(Q.conj(), -1, -2)
 
 
 def quadrature_overlap(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:

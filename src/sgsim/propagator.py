@@ -196,9 +196,10 @@ def sample_state(st: HybridState, grid: Grid,
 
 def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
                           s: SpinQN) -> np.ndarray:
-    """The factored propagator as an explicit (n d) x (n d) matrix on a
-    periodic grid, with the spectral (FFT-diagonal) momentum.  Block
-    diagonal in m; each block is
+    """The factored propagator on a periodic grid, with the spectral
+    (FFT-diagonal) momentum, as the (d, n, n) stack of its blocks, one per
+    m in descending order (the blocks between different m are zero).  The
+    block of m is
 
         diag(e^{i gamma t (B0 + beta z) m})            field kick
         . F* diag(e^{-i hbar k^2 t/(2M)} e^{-i k D_m}) F   free flight + shift
@@ -210,15 +211,12 @@ def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
         raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    n = grid.n
-    F = np.fft.fft(np.eye(n), norm="ortho")
+    F = np.fft.fft(np.eye(grid.n), norm="ortho")
     Fh = F.conj().T
     z, k = grid.z, grid.k
-    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
-    for i, m in enumerate(s.m_values()):
-        shift = cfg.gamma * cfg.beta * cfg.hbar * m * t * t / (2.0 * cfg.mass)
-        spectral = np.exp(-1j * cfg.hbar * k * k * t / (2.0 * cfg.mass)) * np.exp(-1j * k * shift)
-        kick = np.exp(1j * cfg.gamma * t * (cfg.b0 + cfg.beta * z) * m)
-        block = (kick[:, None] * Fh) @ (spectral[:, None] * F)
-        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.exp(1j * u2c_phase(m, t, cfg)) * block
-    return out
+    m = s.m_values()[:, None]
+    shift = cfg.gamma * cfg.beta * cfg.hbar * m * t * t / (2.0 * cfg.mass)
+    spectral = np.exp(-1j * cfg.hbar * k * k * t / (2.0 * cfg.mass)) * np.exp(-1j * k * shift)
+    kick = np.exp(1j * cfg.gamma * t * (cfg.b0 + cfg.beta * z) * m)
+    blocks = (kick[:, :, None] * Fh) @ (spectral[:, :, None] * F)
+    return np.exp(1j * u2c_phase(m, t, cfg))[:, :, None] * blocks

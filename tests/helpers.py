@@ -1,7 +1,8 @@
 """Shared comparison utilities for the test suite, and the per-component
 loop references that the batched code in sgsim is checked against: the
-loop split-step solver, and the per-packet closed-form propagator with its
-sample-by-sample entropy timeline."""
+loop split-step solver, the per-packet closed-form propagator with its
+sample-by-sample entropy timeline, and the full (n d) x (n d) dense
+matrices of the factorization check."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from sgsim import (ExperimentConfig, GradientSegment, Grid, HybridState, QuadExpPacket,
-                   Scenario, SpinQN, u2c_phase)
-from sgsim.oracle import SampledSpinor, check_boundary_leak
+                   Scenario, SpinQN, matrix_exponential, scaled_config, u2c_phase)
+from sgsim.harness import BCHCheck
+from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
+                          check_boundary_leak)
 from sgsim.wavepacket import (boost, free_evolve, from_gaussian, norm, normalized,
-                              overlap, translate)
+                              overlap, sample, translate)
 
 
 def _circle_gap(x: float, y: float) -> float:
@@ -217,3 +220,75 @@ def loop_density(st: LoopState, grid: Grid) -> np.ndarray:
     z = grid.z
     return sum(abs(c) ** 2 * np.exp(2.0 * ((p.a.real * z + p.b.real) * z + p.c.real))
                for c, p in zip(st.coeffs, st.z_packets))
+
+
+# ---------------------------------------------------------------------------
+# Full-matrix reference of the factorization check: both operators as one
+# (n d) x (n d) matrix, each probe zero-padded to a (n d) vector.
+
+def full_dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarray:
+    """(n d) x (n d) matrix of H on the periodic grid: spectral kinetic term,
+    diagonal potential, block-diagonal in m (descending basis order).
+    """
+    if grid.n > DENSE_N_LIMIT:
+        raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
+    n = grid.n
+    F = np.fft.fft(np.eye(n), norm="ortho")
+    kinetic = F.conj().T @ np.diag(cfg.hbar**2 * grid.k**2 / (2.0 * cfg.mass)) @ F
+    kinetic = (kinetic + kinetic.conj().T) / 2.0
+    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
+    for i, m in enumerate(s.m_values()):
+        potential = np.diag(-cfg.gamma * (cfg.b0 + cfg.beta * grid.z) * cfg.hbar * m)
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = kinetic + potential
+    return out
+
+
+def full_dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
+                               s: SpinQN) -> np.ndarray:
+    """The factored propagator as an explicit (n d) x (n d) matrix on a
+    periodic grid, with the spectral (FFT-diagonal) momentum.
+    """
+    if grid.n > DENSE_N_LIMIT:
+        raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    n = grid.n
+    F = np.fft.fft(np.eye(n), norm="ortho")
+    Fh = F.conj().T
+    z, k = grid.z, grid.k
+    out = np.zeros((s.dim * n, s.dim * n), dtype=complex)
+    for i, m in enumerate(s.m_values()):
+        shift = cfg.gamma * cfg.beta * cfg.hbar * m * t * t / (2.0 * cfg.mass)
+        spectral = np.exp(-1j * cfg.hbar * k * k * t / (2.0 * cfg.mass)) * np.exp(-1j * k * shift)
+        kick = np.exp(1j * cfg.gamma * t * (cfg.b0 + cfg.beta * z) * m)
+        block = (kick[:, None] * Fh) @ (spectral[:, None] * F)
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.exp(1j * u2c_phase(m, t, cfg)) * block
+    return out
+
+
+def full_bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
+                   window: float = 16.0) -> BCHCheck:
+    """bch_check on the full matrices."""
+    if spin.dim * n > EXPM_SIZE_LIMIT:
+        raise ValueError(f"dense check capped at (2s+1) n = {EXPM_SIZE_LIMIT}, got {spin.dim * n}")
+    grid = Grid(z_min=-window, z_max=window, n=n)
+    cfg = scaled_config()
+    u_fact = full_dense_factored_matrix(grid, t, cfg, spin)
+    h = full_dense_hamiltonian(grid, cfg, spin)
+    u_exact = matrix_exponential(h, -1j * t / cfg.hbar)
+
+    diff = u_fact - u_exact
+    operator_error = float(np.abs(diff).max())
+
+    state_error = 0.0
+    for sigma in (1.0, 1.4):
+        for z0 in (-4.0, 0.0, 3.0):
+            for k0 in (-1.0, 0.0, 1.5):
+                probe = sample(from_gaussian(sigma, z0, k0), grid)
+                probe /= np.linalg.norm(probe)
+                for i in range(spin.dim):
+                    vec = np.zeros(spin.dim * n, dtype=complex)
+                    vec[i * n:(i + 1) * n] = probe
+                    err = np.linalg.norm(diff @ vec)
+                    state_error = max(state_error, float(err))
+    return BCHCheck(state_error=state_error, operator_error=operator_error)

@@ -19,7 +19,6 @@ import numpy as np
 from conftest import record_acceptance_line
 
 from sgsim import (
-    GradientSegment,
     Grid,
     HybridState,
     Scenario,
@@ -29,7 +28,6 @@ from sgsim import (
     apply_u2c,
     bch_check,
     boost,
-    build_spin_matrices,
     default_silver_config,
     entanglement_entropy,
     evolve,

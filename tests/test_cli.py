@@ -205,6 +205,13 @@ def test_bch_check_rejects_bad_spin(capsys):
     assert "error:" in err
 
 
+def test_bch_check_runs_spin_three_halves_on_256_points(capsys):
+    code = main(["bch-check", "--spin", "3/2", "--n", "256"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("spin 3/2:") and "FAIL" not in out
+
+
 def test_bch_check_rejects_oversized_matrix_before_building_it(capsys):
     code = main(["bch-check", "--spin", "2000", "--n", "256"])
     err = capsys.readouterr().err
@@ -258,6 +265,15 @@ def test_non_integral_integer_key_exits_2_naming_the_key(tmp_path, capsys, key, 
     err = capsys.readouterr().err
     assert code == 2
     assert f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("key, value", [("beta_tesla_per_m", True), ("b0_tesla", None),
+                                        ("mass_kg", "1.79e-25")])
+def test_non_numeric_float_key_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    code = main(["run", write_doc(tmp_path, {**SILVER_DOC, key: value})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be a number" in err
 
 
 def test_entropy_rejects_huge_sample_count(tmp_path, capsys):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -325,7 +326,13 @@ def test_scenario_from_dict_rejects_unknown_keys():
                          ({"grid": [128]}, "grid must be a JSON object"),
                          ({"segments": [seg, {**seg, "durration_s": 2e-5}]},
                           r"unknown segment keys: \['durration_s'\]"),
-                         ({"outputs": "density"}, "outputs must be a list")]:
+                         ({"outputs": "density"}, "outputs must be a list"),
+                         ({"coeffs": 5}, "coeffs must be a list"),
+                         ({"segments": 5}, "segments must be a list"),
+                         ({"segments": [seg, {"beta_tesla_per_m": 1.0}]},
+                          r"segments\[1\] requires duration_s"),
+                         ({"segments": [{}]},
+                          r"segments\[0\] requires beta_tesla_per_m and duration_s")]:
         with pytest.raises(ValueError, match=match):
             scenario_from_dict({"twice_s": 1, "coeffs": [1, 0], **extra})
 
@@ -340,6 +347,9 @@ def test_scenario_from_dict_requires_spin_and_coeffs():
 def test_scenario_from_dict_rejects_bad_coefficient():
     with pytest.raises(ValueError, match="coefficient"):
         scenario_from_dict({"twice_s": 1, "coeffs": ["one", 0]})
+    for bad in (True, [1.0, False], [1.0, "2"], None, 10**400):
+        with pytest.raises(ValueError, match=r"coeffs\[1\]: coefficient"):
+            scenario_from_dict({"twice_s": 1, "coeffs": [1, bad]})
     with pytest.raises(ValueError, match="zero"):
         scenario_from_dict({"twice_s": 1, "coeffs": [0, 0]})
     for bad in (math.nan, math.inf, [1.0, math.nan]):
@@ -356,6 +366,7 @@ def test_scenario_from_dict_rejects_bad_coefficient():
     ("oracle_steps", 2.7),
     ("oracle_steps", False),
     ("oracle_steps", math.inf),
+    ("grid.n", 10**400),
 ])
 def test_scenario_from_dict_rejects_non_integral_integer_keys(key, value):
     doc = {"twice_s": 1, "coeffs": [1, 1]}
@@ -364,6 +375,29 @@ def test_scenario_from_dict_rejects_non_integral_integer_keys(key, value):
     else:
         doc[key] = value
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta_tesla_per_m", True),
+    ("mass_kg", "1.79e-25"),
+    ("b0_tesla", None),
+    ("sigma_z_m", [1.5e-5]),
+    ("v0_m_per_s", 10**400),
+    ("grid.z_min_m", "-6e-4"),
+    ("grid.z_max_m", False),
+    ("segments[0].duration_s", "1e-5"),
+    ("segments[0].beta_tesla_per_m", None),
+])
+def test_scenario_from_dict_rejects_non_numeric_float_keys(key, value):
+    doc = {"twice_s": 1, "coeffs": [1, 1]}
+    if key.startswith("grid."):
+        doc["grid"] = {key[5:]: value}
+    elif key.startswith("segments[0]."):
+        doc["segments"] = [{"beta_tesla_per_m": 1.0, "duration_s": 1e-5, key[12:]: value}]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a number")):
         scenario_from_dict(doc)
 
 

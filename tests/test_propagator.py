@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from helpers import state_distance
 from sgsim import (GradientSegment, Grid, HybridState, SpinQN, apply_u1, apply_u2a,
                    apply_u2b, apply_u2c, dense_factored_matrix, dense_hamiltonian,
                    evolve, evolve_segments, from_gaussian, gaussian_hybrid,
                    matrix_exponential, moments, sample, sample_state, scaled_config,
-                   semiclassical, stack_packets, u2c_phase)
+                   semiclassical, stack_packets)
 
 HALF = SpinQN(1)
 EQUAL = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -213,13 +214,13 @@ def test_sample_state_matches_manual_sampling():
 
 def test_dense_factored_matrix_identity_at_zero_time():
     g = Grid(-8.0, 8.0, 32)
-    U = dense_factored_matrix(g, 0.0, scaled_config(), HALF)
+    U = sla.block_diag(*dense_factored_matrix(g, 0.0, scaled_config(), HALF))
     assert np.abs(U - np.eye(64)).max() <= 1e-12
 
 
 def test_dense_factored_matrix_is_unitary():
     g = Grid(-16.0, 16.0, 64)
-    U = dense_factored_matrix(g, 0.7, scaled_config(), SpinQN(2))
+    U = sla.block_diag(*dense_factored_matrix(g, 0.7, scaled_config(), SpinQN(2)))
     assert np.abs(U @ U.conj().T - np.eye(3 * 64)).max() <= 1e-10
 
 
@@ -247,7 +248,7 @@ def test_dense_factored_matrix_matches_closed_form_on_states():
     g = Grid(-16.0, 16.0, 64)
     st = gaussian_hybrid(HALF, EQUAL, cfg)
     t = 0.7
-    U = dense_factored_matrix(g, t, cfg, HALF)
+    U = sla.block_diag(*dense_factored_matrix(g, t, cfg, HALF))
     vec_in = sample_state(st, g).components.reshape(-1)
     vec_out = U @ vec_in
     want = sample_state(evolve(st, t, cfg), g).components.reshape(-1)
