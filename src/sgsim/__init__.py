@@ -16,8 +16,8 @@ from .propagator import (HybridState, apply_u1, apply_u2a, apply_u2b, apply_u2c,
                          gaussian_hybrid, sample_state)
 from .spin_algebra import (SpinMatrices, SpinQN, build_spin_matrices, commutator,
                            conjugate_series, heisenberg_u2c_transform, u2c_phase)
-from .wavepacket import (QuadExpPacket, boost, canonical, free_evolve, from_gaussian,
-                         global_phase, moments, norm, normalized, overlap, sample,
-                         stack_packets, translate)
+from .wavepacket import (CentredPacket, QuadExpPacket, boost, canonical, centred,
+                         free_evolve, from_gaussian, global_phase, moments, norm, normalized,
+                         overlap, sample, stack_packets, translate)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .observables import (entanglement_entropy, peak_separation, position_densit
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      split_step_evolve)
 from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
-                         gaussian_hybrid, sample_state)
+                         gaussian_hybrid, join_times, sample_state)
 from .spin_algebra import SpinQN
 from .wavepacket import from_gaussian, moments, sample
 
@@ -38,6 +38,9 @@ SILVER_ORACLE_STEPS = 4096
 # A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
 # complex array is about 4 MB at this bound.
 TIMELINE_SAMPLES_LIMIT = 4097
+# Caps of grid.n and oracle_steps, checked at parse time: a (d, n) complex
+# array is 128 MB at d = 8, and split-step keeps (d, steps) integer tables.
+GRID_N_LIMIT = ORACLE_STEPS_LIMIT = 1 << 20
 
 # Gates of the gradient-flip interferometer check.
 DENSITY_TOL = 1e-4
@@ -130,25 +133,17 @@ class Report:
     entropy_timeline: np.ndarray | None = None  # columns t, S
 
     def __post_init__(self) -> None:
-        scalars = [self.transit_time_s, self.entropy_nats,
-                   *self.deflection_m.values()]
-        for opt in (self.peak_separation_m, self.oracle_l2_error, self.bch_state_error):
-            if opt is not None:
-                scalars.append(opt)
+        optional = (self.peak_separation_m, self.oracle_l2_error, self.bch_state_error)
+        scalars = [self.transit_time_s, self.entropy_nats, *self.deflection_m.values(),
+                   *(x for x in optional if x is not None)]
         if not all(math.isfinite(x) for x in scalars):
             raise ValueError("report scalars must be finite")
 
     def json_dict(self) -> dict:
-        doc = {
-            "transit_time_s": self.transit_time_s,
-            "deflection_m": self.deflection_m,
-            "peak_separation_m": self.peak_separation_m,
-            "entropy_nats": self.entropy_nats,
-        }
-        if self.oracle_l2_error is not None:
-            doc["oracle_l2_error"] = self.oracle_l2_error
-        if self.bch_state_error is not None:
-            doc["bch_state_error"] = self.bch_state_error
+        doc = {k: getattr(self, k) for k in
+               ("transit_time_s", "deflection_m", "peak_separation_m", "entropy_nats")}
+        doc.update((k, getattr(self, k)) for k in ("oracle_l2_error", "bch_state_error")
+                   if getattr(self, k) is not None)
         return doc
 
 
@@ -219,7 +214,8 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
     returns an array with columns (t, entropy).
 
     The closed form holds at any t, so one batched evolve from the start of
-    each segment gives both its samples and the state at its end.
+    each segment gives both its samples and the state at its end, and the
+    samples of all segments share one spin_rdm.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -227,22 +223,18 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
         raise ValueError(f"samples must be <= {TIMELINE_SAMPLES_LIMIT}, got {samples}")
     st = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     times = np.linspace(0.0, sc.total_duration, samples)
-    out = np.empty((samples, 2))
-    out[:, 0] = times
-    done, start = 0, 0.0
-    for i, seg in enumerate(sc.segments):
-        if i:
-            st = batch.at(-1)  # the end of the previous segment
+    parts, done, start = [], 0, 0.0
+    # without segments every sample is the initial state
+    for seg in sc.segments or (GradientSegment(sc.cfg.beta, 0.0),):
         end = start + seg.duration
         upto = int(np.searchsorted(times, end, side="right"))
         dt = np.append(times[done:upto] - start, seg.duration)
         batch = evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta))
-        if upto > done:
-            out[done:upto, 1] = entanglement_entropy(spin_rdm(batch))[:-1]
+        parts.append(batch.at(slice(0, upto - done)))
+        st = batch.at(-1)  # the end of this segment
         done, start = upto, end
-    if done < samples:  # no segments: every sample is the initial state
-        out[done:, 1] = entanglement_entropy(spin_rdm(st))
-    return out
+    joined = parts[0] if len(parts) == 1 else join_times(parts)
+    return np.column_stack([times, entanglement_entropy(spin_rdm(joined))])
 
 
 def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float]]:
@@ -309,12 +301,9 @@ def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
     diff = u_fact - u_exact
     operator_error = float(np.abs(diff).max())
 
-    probes = []
-    for sigma in (1.0, 1.4):
-        for z0 in (-4.0, 0.0, 3.0):
-            for k0 in (-1.0, 0.0, 1.5):
-                probe = sample(from_gaussian(sigma, z0, k0), grid)
-                probes.append(probe / np.linalg.norm(probe))
+    probes = [sample(from_gaussian(sigma, z0, k0), grid) for sigma in (1.0, 1.4)
+              for z0 in (-4.0, 0.0, 3.0) for k0 in (-1.0, 0.0, 1.5)]
+    probes = [probe / np.linalg.norm(probe) for probe in probes]
     # column j of block i is diff_i applied to probe j
     state_error = float(np.linalg.norm(diff @ np.transpose(probes), axis=-2).max())
     return BCHCheck(state_error=state_error, operator_error=operator_error)
@@ -375,10 +364,13 @@ def _parse_coeff(value, key: str) -> complex:
     return c
 
 
-def _parse_int(value, key: str) -> int:
-    """An integer from JSON; a bool or a non-integral number is an error."""
+def _parse_int(value, key: str, limit: float = math.inf) -> int:
+    """An integer from JSON; a bool, a non-integral number or one above
+    limit is an error."""
     if not _is_number(value) or not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value > limit:
+        raise ValueError(f"{key} must be <= {limit}, got {value!r}")
     return int(value)
 
 
@@ -438,7 +430,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     grid = Grid(
         z_min=_parse_float(grid_doc.get("z_min_m", SILVER_GRID.z_min), "grid.z_min_m"),
         z_max=_parse_float(grid_doc.get("z_max_m", SILVER_GRID.z_max), "grid.z_max_m"),
-        n=_parse_int(grid_doc.get("n", SILVER_GRID.n), "grid.n"),
+        n=_parse_int(grid_doc.get("n", SILVER_GRID.n), "grid.n", GRID_N_LIMIT),
     )
 
     outputs = _require_list(doc.get("outputs", ["density"]), "outputs")
@@ -449,7 +441,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         initial_coeffs=coeffs,
         segments=segments,
         grid=grid,
-        oracle_steps=_parse_int(doc.get("oracle_steps", SILVER_ORACLE_STEPS), "oracle_steps"),
+        oracle_steps=_parse_int(doc.get("oracle_steps", SILVER_ORACLE_STEPS), "oracle_steps",
+                                ORACLE_STEPS_LIMIT),
         outputs=tuple(outputs),
     )
 

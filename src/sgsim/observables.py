@@ -12,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig, Grid
 from .oracle import check_boundary_leak
 from .propagator import HybridState
-from .wavepacket import overlap, sample
+from .wavepacket import EXP_FLOOR, log_amplitude, moments, overlap, sample
 
 # Eigenvalues at or below this contribute 0 to -sum(lam ln lam).
 ENTROPY_EIG_CLIP = 1e-14
@@ -68,17 +68,29 @@ class SpinRDM:
 
 def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
     """p(z) = sum_m |c_m|^2 |psi_m(z)|^2.  Components belonging to different
-    m never interfere: they are attached to orthogonal spin states.
+    m never interfere: they are attached to orthogonal spin states.  A
+    weighted component wholly outside the window is an error that names its
+    closed-form centroid and width.
     """
-    z = grid.z
-    # |psi_m(z)| = exp(Re(a) z^2 + Re(b) z + Re(c)): the phases drop out.
-    # Filling one real array in place keeps the temporaries small, so a
-    # small process heap is not returned to the OS and refaulted per call.
-    amps = np.empty((st.s.dim, grid.n))
-    for row, p in zip(amps, st.z_packets):
-        np.exp((p.a.real * z + p.b.real) * z + p.c.real, out=row)
+    z, weights = st.z, np.abs(st.coeffs) ** 2
+    var = moments(z).variance
+    # |psi_m| is exp(-(z - q)^2 / (4 var)) times a constant that the weights
+    # take, in one (d, n) buffer filled in place.  Exponents are floored at
+    # EXP_FLOOR: exp is slow where its result underflows.
+    amps = np.subtract(grid.z, z.q[:, None])
+    np.square(amps, out=amps)
+    amps *= (-0.25 / var)[:, None]
+    outside = amps.max(axis=1) < EXP_FLOOR
+    lost = np.flatnonzero(outside & (weights > 0))
+    if lost.size:
+        i = lost[0]
+        raise ValueError(f"component m={st.s.label(st.s.m_values()[i])} lies outside the "
+                         f"density window [{grid.z_min:g}, {grid.z_max:g}] m: its closed-form "
+                         f"centroid is {z.q[i]:.6g} m and its width {np.sqrt(var[i]):.3g} m")
+    np.exp(np.maximum(amps, EXP_FLOOR, out=amps), out=amps)
+    amps[outside] = 0.0  # weightless components outside the window
     check_boundary_leak(amps, st.s, "in the density window")
-    weights = np.abs(st.coeffs) ** 2
+    weights *= np.exp(2.0 * log_amplitude(z.s2).real)
     return DensityProfile(grid, weights @ np.square(amps, out=amps))
 
 
@@ -115,7 +127,7 @@ def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
     d x d Gram matrix G_{ij} = conj(c_i) c_j <psi_i|psi_j>, so for a pure
     joint state this must agree with entanglement_entropy(spin_rdm(st)).
     """
-    fields = np.array([c * sample(p, grid) for c, p in zip(st.coeffs, st.z_packets)])
+    fields = st.coeffs[:, None] * sample(st.z[:, None], grid)
     return entanglement_entropy(fields.conj() @ fields.T * grid.dz)
 
 

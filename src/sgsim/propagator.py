@@ -1,26 +1,23 @@
 """Factorized closed-form propagator for the spin-z beam splitter.
 
-The effective Hamiltonian H = p^2/(2M) - gamma (B0 + beta z) S_z has a
-kinetic part and a spin-field part whose double commutators are scalars,
-so its evolution operator factors exactly into four commuting-friendly
-pieces, applied rightmost first:
+H = p^2/(2M) - gamma (B0 + beta z) S_z has a kinetic and a spin-field
+part whose double commutators are scalars, so its evolution operator
+factors exactly into four pieces, rightmost first: the quadratic spin
+phase -hbar gamma^2 beta^2 m^2 t^3/(6M) of each coefficient; the shift of
+the z packet of m by gamma beta hbar m t^2/(2M); free flight; and the
+field kick, a boost by kick = gamma beta m t with the Larmor phase
+gamma m t B0 on the coefficient.  The three middle pieces commute.
 
-  quadratic spin phase   coefficient phase -hbar gamma^2 beta^2 m^2 t^3/(6M)
-  spin-dependent shift   z packet of component m translated by
-                         gamma beta hbar m t^2 / (2M)
-  free flight            every z packet free-evolves for t
-  field kick             z packet boosted by gamma beta t m, coefficient
-                         Larmor phase gamma m t B0
+HybridState holds its z packets centred (see wavepacket), as one
+CentredPacket of (..., d) arrays, one column per m.  Each piece moves only
+a centroid, a wavenumber, a width or a phase, so evolve applies all four
+as one exact array update, with no discretization anywhere:
 
-Each piece maps Gaussians to Gaussians, so a HybridState evolves in closed
-form with no discretization anywhere.  The three middle factors mutually
-commute; only the field kick's position in the product matters.
+    q += (k + kick / 2) hbar t / M,   k += kick,   s2 += i hbar t / (2M),
+    phase += hbar k^2 t / (2M) + kick q   (k before, q after the update).
 
-A HybridState holds its z packets as one QuadExpPacket of (..., d)
-arrays, one column per m, so each factor is a single array expression
-over all components.  Passing a (s, 1) array of times gives a state with
-a leading time axis: the closed form holds at any t, so every sample of a
-timeline comes out of one call.
+A (s, 1) array of times gives a state with a leading time axis: the
+closed form holds at any t, so a whole timeline segment is one call.
 """
 
 from __future__ import annotations
@@ -32,10 +29,12 @@ import numpy as np
 from .config import ExperimentConfig, GradientSegment, Grid
 from .oracle import DENSE_N_LIMIT, SampledSpinor
 from .spin_algebra import SpinQN, u2c_phase
-from .wavepacket import (QuadExpPacket, boost, free_evolve, from_gaussian, norm,
-                         normalized, sample, stack_packets, translate)
+from .wavepacket import (CentredPacket, QuadExpPacket, boost, centred, free_evolve, norm,
+                         sample, translate)
 
 COEFF_NORM_TOL = 1e-12
+# A centred packet has unit norm by construction; a QuadExpPacket given as
+# the z packet must be unit norm within this fixed tolerance.
 PACKET_NORM_TOL = 1e-12
 
 Times = float | np.ndarray  # a time, or a (s, 1) column of times
@@ -43,136 +42,113 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """The z spinor: coefficients c_m against a per-m z packet.  Free motion
-    along x and y never couples to the spin, so it factors out of every
-    output and is not stored.
-
-    coeffs and the fields of z have shape (..., d), column i belonging to
-    m = s.m_values()[i]; any leading axes are times, in a batched evolve.
-    """
+    """The z spinor: coefficients c_m against a per-m z packet, as (..., d)
+    arrays with column i for m = s.m_values()[i] and any leading axes times.
+    Free motion along x and y never couples to the spin and is not stored.
+    A QuadExpPacket given as z is checked for unit norm and converted."""
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
-    z: QuadExpPacket  # fields (..., d)
+    z: CentredPacket  # fields (..., d)
 
     def __post_init__(self) -> None:
+        if isinstance(self.z, QuadExpPacket):
+            nrm = norm(self.z)
+            if not (abs(nrm - 1.0) <= PACKET_NORM_TOL).all():
+                raise ValueError(f"z packet must be unit norm, got {nrm}")
+            object.__setattr__(self, "z", centred(self.z))
         d = self.s.dim
-        for name, v in (("coeffs", self.coeffs), ("z.a", self.z.a), ("z.b", self.z.b),
-                        ("z.c", self.z.c)):
+        for name, v in (("coeffs", self.coeffs), *vars(self.z).items()):
             if np.shape(v)[-1:] != (d,):
                 raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
         total = (np.abs(self.coeffs) ** 2).sum(-1)
         if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
-        # c stores log-amplitude; one ulp of a large exponent already moves
-        # the norm by |c| * eps, so the guard scales with it.
-        nrm = norm(self.z)
-        if not (abs(nrm - 1.0) <= PACKET_NORM_TOL * np.maximum(1.0, abs(self.z.c.real))).all():
-            raise ValueError(f"z packet must be unit norm, got {nrm}")
 
-    def at(self, i: int) -> "HybridState":
-        """Row i of a state evolved with a (s, 1) array of times."""
-        return HybridState(self.s, self.coeffs[i], self.z[i])
+    def at(self, i: int | slice) -> "HybridState":
+        """Row (or rows) i of a state evolved with a (s, 1) array of times;
+        the rows of a valid state are valid, so they are not checked again."""
+        view = object.__new__(HybridState)
+        vars(view).update(s=self.s, coeffs=self.coeffs[i], z=self.z[i])
+        return view
 
     @property
-    def z_packets(self) -> tuple[QuadExpPacket, ...]:
+    def z_packets(self) -> tuple[CentredPacket, ...]:
         """Scalar view of the z packet of each m (unbatched states only)."""
         if np.ndim(self.coeffs) != 1:
             raise ValueError("z_packets needs a state without a time axis")
         return tuple(self.z[i] for i in range(self.s.dim))
 
 
+def join_times(states: list[HybridState]) -> HybridState:
+    """One state whose time axis runs through those of `states` in turn."""
+    fields = zip(*(vars(st.z).values() for st in states))
+    return HybridState(states[0].s, np.concatenate([st.coeffs for st in states]),
+                       CentredPacket(*map(np.concatenate, fields)))
+
+
 def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> HybridState:
     """Initial beam state: a Gaussian at rest at z = 0 in every spin
-    component, with the given spin coefficients.
-    """
+    component, with the given spin coefficients."""
     coeffs = np.asarray(coeffs, dtype=complex)
     nrm = np.sqrt((np.abs(coeffs) ** 2).sum())
     if not 0.0 < nrm < np.inf:
         raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
-    return HybridState(
-        s=s,
-        coeffs=coeffs / nrm,
-        z=stack_packets((from_gaussian(cfg.sigma_z),) * s.dim),
-    )
+    d = s.dim
+    return HybridState(s, coeffs / nrm, CentredPacket(
+        np.zeros(d), np.zeros(d), np.full(d, complex(cfg.sigma_z**2)), np.zeros(d)))
 
 
-# Each factor maps the parts (coeffs, z) of a state with magnetic quantum
-# numbers m to new parts; _apply checks the times, and HybridState
-# validates only what a public call returns.
-
-def _u2c(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z = parts
-    return coeffs * np.exp(1j * u2c_phase(m, t, cfg)), z
-
-
-def _u2b(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z = parts
-    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
-    return coeffs, normalized(translate(z, scale * m))
-
-
-def _u2a(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z = parts
-    return coeffs, normalized(free_evolve(z, t, cfg.mass, cfg.hbar))
-
-
-def _u1(m: np.ndarray, parts: tuple, t: Times, cfg: ExperimentConfig) -> tuple:
-    coeffs, z = parts
-    return (coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
-            boost(z, cfg.gamma * cfg.beta * t * m))
-
-
-def _apply(factors, st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
+def _check_times(t: Times) -> None:
     if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
-    m = st.s.m_values()
-    parts = (st.coeffs, st.z)
-    for factor in factors:
-        parts = factor(m, parts, t, cfg)
-    return HybridState(st.s, *parts)
 
 
 def apply_u2c(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Quadratic spin phase on the coefficients; packets untouched."""
-    return _apply((_u2c,), st, t, cfg)
+    return HybridState(st.s, st.coeffs * np.exp(1j * u2c_phase(st.s.m_values(), t, cfg)), st.z)
 
 
 def apply_u2b(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Spin-dependent translation of each z packet."""
-    return _apply((_u2b,), st, t, cfg)
+    _check_times(t)
+    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
+    return HybridState(st.s, st.coeffs, translate(st.z, scale * st.s.m_values()))
 
 
 def apply_u2a(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Free evolution of every z packet.
-
-    Renormalized explicitly: for fast carriers (k0 sigma >> 1) the exponent
-    bookkeeping cancels large terms and the closed-form norm drifts at the
-    carrier's rounding floor, well above 1e-12 at silver scale.
-    """
-    return _apply((_u2a,), st, t, cfg)
+    """Free evolution of every z packet."""
+    return HybridState(st.s, st.coeffs, free_evolve(st.z, t, cfg.mass, cfg.hbar))
 
 
 def apply_u1(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Field kick: gradient part boosts each z packet by gamma beta t m,
-    uniform part advances the Larmor phase of each coefficient.
-    """
-    return _apply((_u1,), st, t, cfg)
+    uniform part advances the Larmor phase of each coefficient."""
+    _check_times(t)
+    m = st.s.m_values()
+    return HybridState(st.s, st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
+                       boost(st.z, cfg.gamma * cfg.beta * t * m))
 
 
 def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Full evolution for time t under constant B0 and beta.  t is a
-    scalar, or a (s, 1) array of times that gives a state with a leading
-    time axis of length s.
-    """
-    return _apply((_u2c, _u2b, _u2a, _u1), st, t, cfg)
+    """Full evolution for time t under constant B0 and beta, the four
+    factors as one update of the centred arrays; a (s, 1) array of times
+    gives a state with a leading time axis of length s."""
+    _check_times(t)
+    m, z = st.s.m_values(), st.z
+    kick = cfg.gamma * cfg.beta * t * m
+    flight = cfg.hbar * t / cfg.mass
+    q = z.q + (z.k + 0.5 * kick) * flight
+    # Larmor phase, and u2c_phase(m, t, cfg) = -kick^2 flight / 6
+    coeffs = st.coeffs * np.exp(1j * (cfg.gamma * cfg.b0 * m * t - kick * kick * flight / 6.0))
+    return HybridState(st.s, coeffs, CentredPacket(
+        q, z.k + kick, z.s2 + 0.5j * flight, z.phase + 0.5 * flight * z.k * z.k + kick * q))
 
 
 def evolve_segments(st: HybridState, segments: list[GradientSegment],
                     cfg: ExperimentConfig) -> HybridState:
     """Piecewise-constant gradient schedule; exact because each segment is
-    a constant-Hamiltonian propagation (B0 held fixed throughout).
-    """
+    a constant-Hamiltonian propagation (B0 held fixed throughout)."""
     for seg in segments:
         st = evolve(st, seg.duration, cfg.with_beta(seg.beta))
     return st
@@ -181,17 +157,12 @@ def evolve_segments(st: HybridState, segments: list[GradientSegment],
 def sample_state(st: HybridState, grid: Grid,
                  frame_k: np.ndarray | None = None) -> SampledSpinor:
     """Sample the z-axis spinor field (coefficients folded in) on a grid.
-
     frame_k chooses the stored gauge: component i is sampled as
     exp(-i frame_k[i] z) times the lab field, matching what the split
-    stepper carries.  Default is the lab frame.
-    """
-    if frame_k is None:
-        frame_k = np.zeros(st.s.dim)
-    comps = np.empty((st.s.dim, grid.n), dtype=complex)
-    for i, (c, p) in enumerate(zip(st.coeffs, st.z_packets)):
-        comps[i] = c * sample(boost(p, -frame_k[i]), grid)
-    return SampledSpinor(grid, st.s, comps, np.asarray(frame_k, dtype=float))
+    stepper carries.  Default is the lab frame."""
+    frame_k = np.zeros(st.s.dim) if frame_k is None else np.asarray(frame_k, dtype=float)
+    comps = st.coeffs[:, None] * sample(boost(st.z, -frame_k)[:, None], grid)
+    return SampledSpinor(grid, st.s, comps, frame_k)
 
 
 def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,

@@ -1,25 +1,32 @@
-"""Closed-form algebra of 1-D complex-Gaussian wavefunctions.
+"""Closed-form algebra of 1-D complex-Gaussian wavefunctions, stored centred.
 
-The family psi(z) = exp(a z^2 + b z + c) with Re(a) < 0 is closed under
-every operation the factorized propagator performs: spatial translation,
-momentum boost, global phase, and free kinetic evolution.  All norms,
-moments, and pair overlaps are elementary Gaussian integrals, so states
-evolve with no grid and no time stepping.
+A packet is Heller's thawed Gaussian by centroid q, mean wavenumber k
+(momentum hbar k), complex variance s2 (Re s2 > 0) and phase,
 
-Every operation is elementwise, so a packet may also hold numpy arrays
-a, b, c of broadcastable shapes: one packet per element.  HybridState
-keeps its spin components (and an optional leading time axis) this way,
-and each propagator factor is then one array expression.
+    psi(z) = (Re s2 / (2 pi))^(1/4) s2^(-1/2) exp(-(z - q)^2 / (4 s2) + i k (z - q) + i phase),
 
-Conventions: z in length units, a in 1/length^2, b in 1/length, c
-dimensionless.  hbar enters only free_evolve and the momentum moment and
-is passed explicitly so scaled-unit (hbar = 1) tests read naturally.
+the (q, p, Q, P) form of Lasser & Lubich (Acta Numerica 29, 2020) with Q
+proportional to s2 and P fixed, since no operation here changes P.  The
+amplitude follows from the width, so every packet has unit norm by
+construction, and each operation of the factorized propagator is exact:
+translating by d adds d to q; boosting by dk adds dk to k and dk q to the
+phase; free flight for t adds hbar k t / M to q, i hbar t / (2M) to s2 and
+hbar k^2 t / (2M) to the phase.  A beam far from the origin is only a
+large q, so rounding does not grow with the drift.  A real Gaussian of
+spread sigma has s2 = sigma^2; |psi|^2 has variance |s2|^2 / Re s2.
+
+Every operation is elementwise, so a packet may hold arrays of
+broadcastable shapes, one packet per element: HybridState keeps its spin
+components (and an optional leading time axis) this way.  QuadExpPacket,
+exp(a z^2 + b z + c), is the exponent view of a packet and the form in
+which any Gaussian, normalized or not, can be given; norm and normalized
+act on it.  hbar is passed explicitly, so scaled-unit tests read naturally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -27,105 +34,128 @@ import numpy as np
 from .config import Grid
 
 _TWO_PI = 2.0 * math.pi
+# exp(-700) ~ 1e-304: an amplitude below it is taken as zero.
+EXP_FLOOR = -700.0
+
+
+def _check(packet, ok, need: str) -> None:
+    """Raise unless every field of packet is finite and ok holds."""
+    for name, v in vars(packet).items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v}")
+    if not np.all(ok):
+        raise ValueError(f"need {need} for normalizability, got {packet}")
 
 
 @dataclass(frozen=True)
 class QuadExpPacket:
-    """psi(z) = exp(a z^2 + b z + c), normalizable iff Re(a) < 0.  The
-    fields are complex scalars, or complex arrays that broadcast together
-    (a stack of packets).
-    """
+    """psi(z) = exp(a z^2 + b z + c), normalizable iff Re(a) < 0; the fields
+    are complex scalars or broadcastable arrays (a stack of packets)."""
 
     a: complex | np.ndarray
     b: complex | np.ndarray
     c: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if (np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & (a.real < 0)).all():
-            return  # one reduction for the common, valid case
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must be finite, got {v}")
-        raise ValueError(f"need Re(a) < 0 for normalizability, got a = {a}")
+        ok = self.a.real < 0  # one reduction below for the common, valid case
+        if not (np.isfinite(self.a + self.b + self.c) & ok).all():
+            _check(self, ok, "Re(a) < 0")
 
-    def __getitem__(self, index) -> "QuadExpPacket":
-        """The packets at `index` of the broadcast stack.  Entries of a
-        valid stack are valid, so the result skips the checks."""
-        a, b, c = self.a, self.b, self.c
-        if not np.shape(a) == np.shape(b) == np.shape(c):
-            a, b, c = np.broadcast_arrays(a, b, c)
-        view = object.__new__(QuadExpPacket)
-        for name, v in (("a", a[index]), ("b", b[index]), ("c", c[index])):
-            object.__setattr__(view, name, v)
+
+@dataclass(frozen=True)
+class CentredPacket:
+    """A unit-norm Gaussian by real centroid q, wavenumber k and phase, and
+    complex variance s2 (Re s2 > 0); scalars or broadcastable arrays."""
+
+    q: float | np.ndarray
+    k: float | np.ndarray
+    s2: complex | np.ndarray
+    phase: float | np.ndarray
+
+    def __post_init__(self) -> None:
+        ok = self.s2.real > 0  # one reduction below for the common, valid case
+        if not (np.isfinite(self.q + self.k + self.phase + self.s2) & ok).all():
+            _check(self, ok, "Re(s2) > 0")
+
+    def __getitem__(self, index) -> "CentredPacket":
+        """The packets at `index` of this valid stack, not checked again."""
+        values = vars(self).values()
+        if len({np.shape(v) for v in values}) > 1:
+            values = np.broadcast_arrays(*values)
+        view = object.__new__(CentredPacket)
+        vars(view).update(zip(vars(self), (v[index] for v in values)))
         return view
+
+    @property
+    def quad(self) -> QuadExpPacket:
+        """The exponent view exp(a z^2 + b z + c).  c holds -q^2 / (4 s2), so
+        the view loses digits as the beam drifts; the centred fields do not."""
+        a = -0.25 / self.s2
+        c = (a * self.q - 1j * self.k) * self.q + 1j * self.phase + log_amplitude(self.s2)
+        return QuadExpPacket(a, -2.0 * a * self.q + 1j * self.k, c)
 
 
 class PacketMoments(NamedTuple):
-    norm: float
     centroid: float
     variance: float
     mean_momentum: float
 
 
-def from_gaussian(sigma: float, z0: float = 0.0, k0: float = 0.0) -> QuadExpPacket:
-    """Unit-norm Gaussian with position spread sigma, centroid z0, mean
-    wavenumber k0:  psi = (2 pi sigma^2)^(-1/4) exp(-(z-z0)^2/(4 sigma^2) + i k0 z).
-    """
+def log_amplitude(s2):
+    """log of the prefactor (Re s2 / (2 pi))^(1/4) s2^(-1/2) that gives unit
+    norm; Re s2 > 0 keeps the principal branch continuous."""
+    return 0.25 * np.log(s2.real / _TWO_PI) - 0.5 * np.log(s2)
+
+
+def centred(p: QuadExpPacket) -> CentredPacket:
+    """The centred form of p, of unit norm whatever norm(p) is."""
+    q = -p.b.real / (2.0 * p.a.real)
+    s2 = -0.25 / p.a
+    phase = (p.a.imag * q + p.b.imag) * q + p.c.imag + 0.5 * np.angle(s2)
+    return CentredPacket(q, p.b.imag + 2.0 * p.a.imag * q, s2, phase)
+
+
+def from_gaussian(sigma: float, z0: float = 0.0, k0: float = 0.0) -> CentredPacket:
+    """Unit-norm Gaussian of spread sigma, centroid z0 and mean wavenumber k0:
+    psi = (2 pi sigma^2)^(-1/4) exp(-(z-z0)^2/(4 sigma^2) + i k0 z)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    a = -1.0 / (4.0 * sigma * sigma)
-    b = z0 / (2.0 * sigma * sigma) + 1j * k0
-    c = -z0 * z0 / (4.0 * sigma * sigma) - 0.25 * math.log(_TWO_PI * sigma * sigma)
-    return QuadExpPacket(a, complex(b), complex(c))
+    return CentredPacket(z0, k0, complex(sigma * sigma), k0 * z0)
 
 
-def translate(p: QuadExpPacket, delta: float) -> QuadExpPacket:
-    """psi'(z) = psi(z - delta); exponent recentered exactly."""
-    return QuadExpPacket(p.a, p.b - 2.0 * p.a * delta, p.c + p.a * delta * delta - p.b * delta)
+def translate(p: CentredPacket, delta: float) -> CentredPacket:
+    """psi'(z) = psi(z - delta): the centroid moves, nothing else."""
+    return CentredPacket(p.q + delta, p.k, p.s2, p.phase)
 
 
-def boost(p: QuadExpPacket, dk: float) -> QuadExpPacket:
+def boost(p: CentredPacket, dk: float) -> CentredPacket:
     """Multiply by exp(i dk z): mean momentum rises by hbar dk, |psi|^2 unchanged."""
-    return QuadExpPacket(p.a, p.b + 1j * dk, p.c)
+    return CentredPacket(p.q, p.k + dk, p.s2, p.phase + dk * p.q)
 
 
-def global_phase(p: QuadExpPacket, phi: float) -> QuadExpPacket:
+def global_phase(p: CentredPacket, phi: float) -> CentredPacket:
     """Multiply by exp(i phi)."""
-    return QuadExpPacket(p.a, p.b, p.c + 1j * phi)
+    return CentredPacket(p.q, p.k, p.s2, p.phase + phi)
 
 
-def free_evolve(p: QuadExpPacket, t: float, mass: float, hbar: float = 1.0) -> QuadExpPacket:
-    """Exact free propagation exp(-i p_z^2 t / (2 M hbar)).
-
-    In Fourier space each mode gains exp(-i hbar k^2 t / (2M)); carrying the
-    Gaussian integral back gives, with tau = hbar t / (2M) and
-    den = 1 - 4i tau a:
-
-        a' = a / den,   b' = b / den,   c' = c + i tau b^2 / den - log(den)/2.
-
-    Re(den) = 1 + 4 tau Im(a) >= 1 whenever t >= 0 and Im(a) >= 0 (true for
-    any forward-evolved real Gaussian), so the principal log never crosses
-    its branch cut and composition in t is seamless.
+def free_evolve(p: CentredPacket, t: float, mass: float, hbar: float = 1.0) -> CentredPacket:
+    """Exact free propagation exp(-i p_z^2 t / (2 M hbar)): with tau =
+    hbar t / (2M), q gains 2 tau k, s2 gains i tau and the phase tau k^2.
+    Re s2 is unchanged, so the principal root s2^(-1/2) never crosses its
+    branch cut and composition in t is seamless.
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
     tau = hbar * t / (2.0 * mass)
-    den = 1.0 - 4j * tau * p.a
-    return QuadExpPacket(
-        p.a / den,
-        p.b / den,
-        p.c + 1j * tau * p.b * p.b / den - 0.5 * np.log(den),
-    )
+    return CentredPacket(p.q + 2.0 * tau * p.k, p.k, p.s2 + 1j * tau,
+                         p.phase + tau * p.k * p.k)
 
 
 def norm(p: QuadExpPacket) -> float:
     """Closed-form L2 norm: with alpha = -2 Re(a),
-    ||psi||^2 = sqrt(pi/alpha) exp(Re(b)^2/alpha + 2 Re(c)).
-    """
+    ||psi||^2 = sqrt(pi/alpha) exp(Re(b)^2/alpha + 2 Re(c))."""
     alpha = -2.0 * p.a.real
     return (math.pi / alpha) ** 0.25 * np.exp(p.b.real**2 / (2.0 * alpha) + p.c.real)
 
@@ -135,51 +165,45 @@ def normalized(p: QuadExpPacket) -> QuadExpPacket:
     return QuadExpPacket(p.a, p.b, p.c - np.log(norm(p)))
 
 
-def canonical(p: QuadExpPacket) -> QuadExpPacket:
-    """Wrap Im(c) into (-pi, pi] so equal packets compare equal."""
-    im = math.remainder(p.c.imag, _TWO_PI)
-    return QuadExpPacket(p.a, p.b, complex(p.c.real, im))
+def canonical(p: CentredPacket) -> CentredPacket:
+    """Wrap the phase into (-pi, pi] so equal packets compare equal."""
+    return global_phase(p, math.remainder(p.phase, _TWO_PI) - p.phase)
 
 
-def moments(p: QuadExpPacket, hbar: float = 1.0) -> PacketMoments:
-    """Norm, centroid, position variance, and mean momentum, all closed form.
-
-    |psi|^2 is the Gaussian exp(2 Re(a) z^2 + 2 Re(b) z + 2 Re(c)), so
-    centroid = -Re(b)/(2 Re(a)) and variance = -1/(4 Re(a)).  The momentum
-    moment <p> = -i hbar <psi| d/dz |psi> / <psi|psi> reduces to
-    hbar (Im(b) - Im(a) Re(b)/Re(a)).
-    """
-    ar, br = p.a.real, p.b.real
-    return PacketMoments(
-        norm=norm(p),
-        centroid=-br / (2.0 * ar),
-        variance=-1.0 / (4.0 * ar),
-        mean_momentum=hbar * (p.b.imag - p.a.imag * br / ar),
-    )
+def moments(p: CentredPacket, hbar: float = 1.0) -> PacketMoments:
+    """Centroid, position variance |s2|^2 / Re s2, and mean momentum hbar k."""
+    return PacketMoments(centroid=p.q, variance=p.s2.real + p.s2.imag**2 / p.s2.real,
+                         mean_momentum=hbar * p.k)
 
 
-def overlap(p: QuadExpPacket, q: QuadExpPacket) -> complex:
-    """<p|q> = integral of conj(psi_p) psi_q, as a closed-form Gaussian
-    integral: with A = conj(a_p) + a_q, B = conj(b_p) + b_q, C = conj(c_p) + c_q,
+def overlap(p: CentredPacket, q: CentredPacket) -> complex:
+    """<p|q> = integral of conj(psi_p) psi_q, taken about the midpoint of the
+    centroids: with S = conj(s2_p) + s2_q (Re S > 0), d = q_q - q_p and
+    dk = k_q - k_p it is sqrt(2 sqrt(Re s2_p Re s2_q) / S) times
 
-        <p|q> = sqrt(-pi/A) exp(-B^2/(4A) + C),  valid for Re(A) < 0.
-    """
-    A = p.a.conjugate() + q.a
-    B = p.b.conjugate() + q.b
-    C = p.c.conjugate() + q.c
-    if not np.less(A.real, 0).all():
-        raise ValueError(f"overlap integral diverges: Re(a_p* + a_q) = {A.real}")
-    return np.sqrt(-math.pi / A) * np.exp(-B * B / (4.0 * A) + C)
+        exp(-(d - 2i dk conj(s2_p)) (d + 2i dk s2_q) / (4 S)
+            + i (phase_q - phase_p - (k_p + k_q) d / 2)).
+
+    An exponent below EXP_FLOOR gives 0 without its phase: separated beams
+    have phases of 1e6 rad and more, which cost exp a slow reduction."""
+    sp, sq = np.conj(p.s2), q.s2
+    inv = 1.0 / (sp + sq)
+    d, dk2 = q.q - p.q, 2j * (q.k - p.k)
+    expo = (d - dk2 * sp) * (d + dk2 * sq) * (-0.25 * inv)
+    expo += 1j * (q.phase - p.phase - 0.5 * (p.k + q.k) * d)
+    expo = np.where(expo.real < EXP_FLOOR, -np.inf, expo)
+    return np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv) * np.exp(expo)
 
 
-def stack_packets(packets) -> QuadExpPacket:
-    """One packet of (k,) arrays from an iterable of k scalar packets."""
+def stack_packets(packets) -> CentredPacket | QuadExpPacket:
+    """One packet of (k,) arrays from an iterable of k scalar packets of one
+    class."""
     packets = list(packets)
-    return QuadExpPacket(*(np.array([getattr(p, f) for p in packets], dtype=complex)
-                           for f in "abc"))
+    cls = type(packets[0])
+    return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))
 
 
-def sample(p: QuadExpPacket, grid: Grid | np.ndarray) -> np.ndarray:
+def sample(p: CentredPacket, grid: Grid | np.ndarray) -> np.ndarray:
     """Evaluate psi on grid nodes (accepts a Grid or a raw z array)."""
-    z = grid.z if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
-    return np.exp((p.a * z + p.b) * z + p.c)
+    u = (grid.z if isinstance(grid, Grid) else np.asarray(grid, dtype=float)) - p.q
+    return np.exp((-0.25 / p.s2 * u + 1j * p.k) * u + 1j * p.phase + log_amplitude(p.s2))

@@ -1,24 +1,29 @@
-"""Shared comparison utilities for the test suite, and the per-component
-loop references that the batched code in sgsim is checked against: the
-loop split-step solver, the per-packet closed-form propagator with its
-sample-by-sample entropy timeline, and the full (n d) x (n d) dense
-matrices of the factorization check."""
+"""Shared comparison utilities for the test suite, and the references that
+the code in sgsim is checked against: the loop split-step solver; the
+exp(a z^2 + b z + c) packet algebra and the batched evolve that stored
+packets that way before they were stored centred; the per-packet
+closed-form propagator on that algebra with its sample-by-sample entropy
+timeline; the full (n d) x (n d) dense matrices of the factorization
+check; and the interaction-picture propagator evaluated in mpmath.
+"""
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
-from sgsim import (ExperimentConfig, GradientSegment, Grid, HybridState, QuadExpPacket,
-                   Scenario, SpinQN, matrix_exponential, scaled_config, u2c_phase)
+from sgsim import (CentredPacket, ExperimentConfig, GradientSegment, Grid, HybridState,
+                   QuadExpPacket, Scenario, SpinQN, matrix_exponential, scaled_config,
+                   stack_packets, u2c_phase)
 from sgsim.harness import BCHCheck
 from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
                           check_boundary_leak)
-from sgsim.wavepacket import (boost, free_evolve, from_gaussian, norm, normalized,
-                              overlap, sample, translate)
+from sgsim.wavepacket import from_gaussian, norm, normalized, sample
 
 
 def _circle_gap(x: float, y: float) -> float:
@@ -26,34 +31,29 @@ def _circle_gap(x: float, y: float) -> float:
     return abs(cmath.exp(1j * x) - cmath.exp(1j * y))
 
 
-def packet_distance(p: QuadExpPacket, q: QuadExpPacket) -> float:
-    """Worst-case parameter difference; Im(c) compared on the unit circle
-    so 2 pi phase windings do not count.
+def packet_distance(p: CentredPacket, q: CentredPacket) -> float:
+    """Worst-case parameter difference; the phase compared on the unit
+    circle so 2 pi windings do not count.
     """
-    return max(
-        abs(p.a - q.a),
-        abs(p.b - q.b),
-        abs(p.c.real - q.c.real),
-        _circle_gap(p.c.imag, q.c.imag),
-    )
+    return max(abs(p.q - q.q), abs(p.k - q.k), abs(p.s2 - q.s2),
+               _circle_gap(p.phase, q.phase))
 
 
 def state_distance(s1: HybridState, s2: HybridState) -> float:
     """Worst physical difference between two hybrid states.
 
     A component's phase may sit in the coefficient or in the packet's
-    Im(c) depending on the order operations were applied in; only the
-    combination arg(c_m) + Im(c_packet) is meaningful, so compare that.
+    phase depending on the order operations were applied in; only the
+    combination arg(c_m) + phase is meaningful, so compare that.
     """
     assert s1.s == s2.s
     worst = 0.0
     for c1, c2, p1, p2 in zip(s1.coeffs, s2.coeffs, s1.z_packets, s2.z_packets):
-        worst = max(worst, abs(abs(c1) - abs(c2)))
-        worst = max(worst, abs(p1.a - p2.a), abs(p1.b - p2.b),
-                    abs(p1.c.real - p2.c.real))
+        worst = max(worst, abs(abs(c1) - abs(c2)), abs(p1.q - p2.q), abs(p1.k - p2.k),
+                    abs(p1.s2 - p2.s2))
         if abs(c1) > 1e-15 and abs(c2) > 1e-15:
-            ph1 = cmath.phase(c1) + p1.c.imag
-            ph2 = cmath.phase(c2) + p2.c.imag
+            ph1 = cmath.phase(c1) + p1.phase
+            ph2 = cmath.phase(c2) + p2.phase
             worst = max(worst, _circle_gap(ph1, ph2))
     return worst
 
@@ -109,9 +109,150 @@ def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# Per-packet closed-form reference: a tuple of scalar packets per state,
-# each factor a loop over components, and an entropy timeline that evolves
-# from t = 0 for every sample.
+# The exp(a z^2 + b z + c) algebra, as sgsim.wavepacket had it before it
+# stored packets centred, and the batched evolve built on it.
+
+_TWO_PI = 2.0 * math.pi
+
+
+def quad_gaussian(sigma: float, z0: float = 0.0, k0: float = 0.0) -> QuadExpPacket:
+    """Unit-norm Gaussian with position spread sigma, centroid z0, mean
+    wavenumber k0:  psi = (2 pi sigma^2)^(-1/4) exp(-(z-z0)^2/(4 sigma^2) + i k0 z).
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    a = -1.0 / (4.0 * sigma * sigma)
+    b = z0 / (2.0 * sigma * sigma) + 1j * k0
+    c = -z0 * z0 / (4.0 * sigma * sigma) - 0.25 * math.log(_TWO_PI * sigma * sigma)
+    return QuadExpPacket(a, complex(b), complex(c))
+
+
+def quad_translate(p: QuadExpPacket, delta: float) -> QuadExpPacket:
+    """psi'(z) = psi(z - delta); exponent recentered exactly."""
+    return QuadExpPacket(p.a, p.b - 2.0 * p.a * delta, p.c + p.a * delta * delta - p.b * delta)
+
+
+def quad_boost(p: QuadExpPacket, dk: float) -> QuadExpPacket:
+    """Multiply by exp(i dk z): mean momentum rises by hbar dk, |psi|^2 unchanged."""
+    return QuadExpPacket(p.a, p.b + 1j * dk, p.c)
+
+
+def quad_free_evolve(p: QuadExpPacket, t: float, mass: float,
+                     hbar: float = 1.0) -> QuadExpPacket:
+    """Exact free propagation exp(-i p_z^2 t / (2 M hbar)).
+
+    In Fourier space each mode gains exp(-i hbar k^2 t / (2M)); carrying the
+    Gaussian integral back gives, with tau = hbar t / (2M) and
+    den = 1 - 4i tau a:
+
+        a' = a / den,   b' = b / den,   c' = c + i tau b^2 / den - log(den)/2.
+    """
+    if mass <= 0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    if not np.greater_equal(t, 0).all():
+        raise ValueError("t must be >= 0")
+    tau = hbar * t / (2.0 * mass)
+    den = 1.0 - 4j * tau * p.a
+    return QuadExpPacket(
+        p.a / den,
+        p.b / den,
+        p.c + 1j * tau * p.b * p.b / den - 0.5 * np.log(den),
+    )
+
+
+def quad_overlap(p: QuadExpPacket, q: QuadExpPacket) -> complex:
+    """<p|q> = integral of conj(psi_p) psi_q, as a closed-form Gaussian
+    integral: with A = conj(a_p) + a_q, B = conj(b_p) + b_q, C = conj(c_p) + c_q,
+
+        <p|q> = sqrt(-pi/A) exp(-B^2/(4A) + C),  valid for Re(A) < 0.
+    """
+    A = p.a.conjugate() + q.a
+    B = p.b.conjugate() + q.b
+    C = p.c.conjugate() + q.c
+    if not np.less(A.real, 0).all():
+        raise ValueError(f"overlap integral diverges: Re(a_p* + a_q) = {A.real}")
+    return np.sqrt(-math.pi / A) * np.exp(-B * B / (4.0 * A) + C)
+
+
+COEFF_NORM_TOL = 1e-12
+PACKET_NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class QuadState:
+    """HybridState as it was with exp(a z^2 + b z + c) packets: coeffs and
+    the fields of z have shape (..., d)."""
+
+    s: SpinQN
+    coeffs: np.ndarray  # (..., d) complex
+    z: QuadExpPacket  # fields (..., d)
+
+    def __post_init__(self) -> None:
+        d = self.s.dim
+        for name, v in (("coeffs", self.coeffs), ("z.a", self.z.a), ("z.b", self.z.b),
+                        ("z.c", self.z.c)):
+            if np.shape(v)[-1:] != (d,):
+                raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
+        total = (np.abs(self.coeffs) ** 2).sum(-1)
+        if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
+            raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
+        # c stores log-amplitude; one ulp of a large exponent already moves
+        # the norm by |c| * eps, so the guard scales with it.
+        nrm = norm(self.z)
+        if not (abs(nrm - 1.0) <= PACKET_NORM_TOL * np.maximum(1.0, abs(self.z.c.real))).all():
+            raise ValueError(f"z packet must be unit norm, got {nrm}")
+
+
+def quad_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> QuadState:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return QuadState(s, coeffs / np.sqrt((np.abs(coeffs) ** 2).sum()),
+                     stack_packets((quad_gaussian(cfg.sigma_z),) * s.dim))
+
+
+def _u2c(m: np.ndarray, parts: tuple, t, cfg: ExperimentConfig) -> tuple:
+    coeffs, z = parts
+    return coeffs * np.exp(1j * u2c_phase(m, t, cfg)), z
+
+
+def _u2b(m: np.ndarray, parts: tuple, t, cfg: ExperimentConfig) -> tuple:
+    coeffs, z = parts
+    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
+    return coeffs, normalized(quad_translate(z, scale * m))
+
+
+def _u2a(m: np.ndarray, parts: tuple, t, cfg: ExperimentConfig) -> tuple:
+    coeffs, z = parts
+    return coeffs, normalized(quad_free_evolve(z, t, cfg.mass, cfg.hbar))
+
+
+def _u1(m: np.ndarray, parts: tuple, t, cfg: ExperimentConfig) -> tuple:
+    coeffs, z = parts
+    return (coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
+            quad_boost(z, cfg.gamma * cfg.beta * t * m))
+
+
+def _apply(factors, st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
+    if not np.greater_equal(t, 0).all():
+        raise ValueError("t must be >= 0")
+    m = st.s.m_values()
+    parts = (st.coeffs, st.z)
+    for factor in factors:
+        parts = factor(m, parts, t, cfg)
+    return QuadState(st.s, *parts)
+
+
+def quad_evolve(st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
+    """Full evolution for time t under constant B0 and beta.  t is a
+    scalar, or a (s, 1) array of times that gives a state with a leading
+    time axis of length s.
+    """
+    return _apply((_u2c, _u2b, _u2a, _u1), st, t, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Per-packet closed-form reference on that algebra: a tuple of scalar
+# packets per state, each factor a loop over components, and an entropy
+# timeline that evolves from t = 0 for every sample.
 
 @dataclass(frozen=True, eq=False)
 class LoopState:
@@ -140,13 +281,13 @@ class LoopState:
 def loop_gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> LoopState:
     coeffs = np.asarray(coeffs, dtype=complex)
     nrm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
-    zp = from_gaussian(cfg.sigma_z)
+    zp = quad_gaussian(cfg.sigma_z)
     return LoopState(
         s=s,
         coeffs=coeffs / nrm,
         z_packets=(zp,) * s.dim,
-        x_packet=from_gaussian(cfg.sigma_x),
-        y_packet=from_gaussian(cfg.sigma_y, 0.0, cfg.mass * cfg.v0 / cfg.hbar),
+        x_packet=quad_gaussian(cfg.sigma_x),
+        y_packet=quad_gaussian(cfg.sigma_y, 0.0, cfg.mass * cfg.v0 / cfg.hbar),
     )
 
 
@@ -156,17 +297,17 @@ def loop_evolve(st: LoopState, t: float, cfg: ExperimentConfig) -> LoopState:
     st = LoopState(st.s, st.coeffs * phases, st.z_packets, st.x_packet, st.y_packet)
 
     scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
-    zs = tuple(normalized(translate(p, scale * m))
+    zs = tuple(normalized(quad_translate(p, scale * m))
                for m, p in zip(st.s.m_values(), st.z_packets))
     st = LoopState(st.s, st.coeffs, zs, st.x_packet, st.y_packet)
 
-    ev = lambda p: normalized(free_evolve(p, t, cfg.mass, cfg.hbar))
+    ev = lambda p: normalized(quad_free_evolve(p, t, cfg.mass, cfg.hbar))
     st = LoopState(st.s, st.coeffs, tuple(ev(p) for p in st.z_packets),
                    ev(st.x_packet), ev(st.y_packet))
 
     m = st.s.m_values()
     coeffs = st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0)
-    zs = tuple(boost(p, cfg.gamma * cfg.beta * t * mm)
+    zs = tuple(quad_boost(p, cfg.gamma * cfg.beta * t * mm)
                for mm, p in zip(m, st.z_packets))
     return LoopState(st.s, coeffs, zs, st.x_packet, st.y_packet)
 
@@ -199,7 +340,7 @@ def loop_entropy(st: LoopState) -> float:
     rho = np.empty((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
-            rho[i, j] = st.coeffs[i] * st.coeffs[j].conjugate() * overlap(
+            rho[i, j] = st.coeffs[i] * st.coeffs[j].conjugate() * quad_overlap(
                 st.z_packets[j], st.z_packets[i])
     lams = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     lams = lams[lams > 1e-14]
@@ -292,3 +433,76 @@ def full_bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
                     err = np.linalg.norm(diff @ vec)
                     state_error = max(state_error, float(err))
     return BCHCheck(state_error=state_error, operator_error=operator_error)
+
+
+# ---------------------------------------------------------------------------
+# Interaction-picture reference, evaluated in mpmath.
+#
+# With respect to H0 = p^2/(2M), the field term V = -gamma hbar m (B0 + beta z)
+# of component m becomes V_I(t) = -gamma hbar m (B0 + beta (z + p t / M)).
+# [V_I(t1), V_I(t2)] = i hbar^3 (gamma beta m)^2 (t2 - t1) / M is a c-number,
+# so the Magnus series of U_I stops at second order:
+#
+#   Omega_1 = i gamma m B0 t + i (kappa z + mu p),
+#   Omega_2 = i hbar gamma^2 beta^2 m^2 t^3 / (12 M),
+#
+# with kappa = gamma beta m t and mu = gamma beta m t^2 / (2M), and
+# U(t) = exp(-i H0 t / hbar) exp(Omega_1 + Omega_2).  The Weyl operator
+# exp(i (kappa z + mu p)) maps psi(z) to exp(i kappa z + i hbar kappa mu / 2)
+# psi(z + hbar mu).  Free flight then acts on exp(a z^2 + b z + c) as
+#
+#   a' = a / D,  b' = b / D,  c' = c + i tau b^2 / D - log(D) / 2,
+#   D = 1 - 4 i tau a,  tau = hbar t / (2M).
+#
+# None of this uses the four-factor BCH ordering of sgsim.propagator.
+
+IP_DIGITS = 50
+
+
+def ip_packets(cfg: ExperimentConfig, s: SpinQN, segments: Sequence[GradientSegment],
+               digits: int = IP_DIGITS) -> list[tuple]:
+    """(a, b, c) of exp(a z^2 + b z + c), as mpmath numbers at `digits`
+    digits, for the z packet of each m (descending) after `segments`,
+    starting from the Gaussian of spread cfg.sigma_z at rest at z = 0.  c
+    holds every phase, the Larmor and Magnus phases included, so the
+    component of m is c_m(0) exp(a z^2 + b z + c).
+    """
+    with mpmath.workdps(digits):
+        mp = mpmath.mpf
+        hbar, mass, gamma, b0 = mp(cfg.hbar), mp(cfg.mass), mp(cfg.gamma), mp(cfg.b0)
+        sigma = mp(cfg.sigma_z)
+        out = []
+        for m in s.m_values():
+            m = mp(m)
+            a = mpmath.mpc(-1 / (4 * sigma**2))
+            b = mpmath.mpc(0)
+            c = mpmath.mpc(-mpmath.log(2 * mpmath.pi * sigma**2) / 4)
+            for seg in segments:
+                beta, t = mp(seg.beta), mp(seg.duration)
+                kappa = gamma * beta * m * t
+                h = hbar * gamma * beta * m * t**2 / (2 * mass)  # hbar mu
+                magnus = gamma * m * b0 * t + hbar * (gamma * beta * m) ** 2 * t**3 / (12 * mass)
+                a, b, c = (a, 2 * a * h + b + 1j * kappa,
+                           a * h**2 + b * h + c + 1j * (magnus + kappa * h / 2))
+                tau = hbar * t / (2 * mass)
+                den = 1 - 4j * tau * a
+                a, b, c = a / den, b / den, c + 1j * tau * b**2 / den - mpmath.log(den) / 2
+            out.append((a, b, c))
+        return out
+
+
+def ip_moments(packet: tuple, digits: int = IP_DIGITS) -> tuple:
+    """Centroid and width (standard deviation of |psi|^2) of an
+    interaction-picture packet, in mpmath."""
+    a, b, _ = packet
+    with mpmath.workdps(digits):
+        return -b.real / (2 * a.real), mpmath.sqrt(-1 / (4 * a.real))
+
+
+def ip_values(packet: tuple, offsets, digits: int = IP_DIGITS) -> list:
+    """psi(q + u) = exp(a z^2 + b z + c) of an interaction-picture packet at
+    z = q + u for each offset u from its centroid q, in mpmath."""
+    a, b, c = packet
+    with mpmath.workdps(digits):
+        q = -b.real / (2 * a.real)
+        return [mpmath.exp((a * z + b) * z + c) for z in (q + mpmath.mpf(u) for u in offsets)]

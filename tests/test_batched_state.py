@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (loop_density, loop_entropy_timeline, loop_evolve_segments,
                      loop_gaussian_hybrid)
-from sgsim import (GradientSegment, Grid, HybridState, QuadExpPacket, Scenario, SpinQN,
-                   default_silver_config, entanglement_entropy, entropy_timeline, evolve,
-                   evolve_segments, from_gaussian, gaussian_hybrid, position_density_z,
-                   scaled_config, spin_rdm, stack_packets)
+from sgsim import (CentredPacket, GradientSegment, Grid, HybridState, QuadExpPacket, Scenario,
+                   SpinQN, default_silver_config, entanglement_entropy, entropy_timeline,
+                   evolve, evolve_segments, from_gaussian, gaussian_hybrid,
+                   position_density_z, scaled_config, spin_rdm, stack_packets)
 from sgsim.harness import TIMELINE_SAMPLES_LIMIT
 
 ENTROPY_ABS_TOL = 1e-10
@@ -90,7 +91,7 @@ def test_batched_evolve_rows_match_scalar_evolve():
     for i, t in enumerate(times):
         one, row = evolve(st, t, cfg), batch.at(i)
         assert np.abs(row.coeffs - one.coeffs).max() <= 1e-14
-        for f in "abc":
+        for f in ("q", "k", "s2", "phase"):
             assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-13
         assert abs(entropies[i] - entanglement_entropy(spin_rdm(one))) <= 1e-14
 
@@ -98,8 +99,8 @@ def test_batched_evolve_rows_match_scalar_evolve():
 def test_z_packets_are_views_of_the_arrays():
     st = evolve(gaussian_hybrid(SpinQN(2), np.ones(3), scaled_config()), 0.7, scaled_config())
     for i, p in enumerate(st.z_packets):
-        assert isinstance(p, QuadExpPacket)
-        assert (p.a, p.b, p.c) == (st.z.a[i], st.z.b[i], st.z.c[i])
+        assert isinstance(p, CentredPacket)
+        assert (p.q, p.k, p.s2, p.phase) == (st.z.q[i], st.z.k[i], st.z.s2[i], st.z.phase[i])
     batch = evolve(st, np.array([[0.1], [0.2]]), scaled_config())
     with pytest.raises(ValueError, match="time axis"):
         batch.z_packets
@@ -115,10 +116,15 @@ def test_stacked_state_validation():
     bad[1, 0] *= 1.001  # one time row off normalization
     with pytest.raises(ValueError, match="normalized"):
         HybridState(batch.s, bad, batch.z)
-    c = batch.z.c.copy()
+    view = batch.z.quad
+    c = view.c.copy()
     c[0, 1] += 0.3  # one packet off unit norm
     with pytest.raises(ValueError, match="unit norm"):
-        HybridState(batch.s, batch.coeffs, QuadExpPacket(batch.z.a, batch.z.b, c))
+        HybridState(batch.s, batch.coeffs, QuadExpPacket(view.a, view.b, c))
+    s2 = batch.z.s2.copy()
+    s2[1, 0] = -s2[1, 0].conjugate()  # one packet not normalizable
+    with pytest.raises(ValueError, match="Re\\(s2\\) > 0"):
+        HybridState(batch.s, batch.coeffs, replace(batch.z, s2=s2))
     nan = batch.coeffs.copy()
     nan[0, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):

@@ -276,6 +276,28 @@ def test_non_numeric_float_key_exits_2_naming_the_key(tmp_path, capsys, key, val
     assert f"{key} must be a number" in err
 
 
+@pytest.mark.parametrize("key, doc", [("grid.n", {"grid": {"n": 1 << 40}}),
+                                      ("oracle_steps", {"oracle_steps": 10**12})])
+def test_huge_integer_key_exits_2_naming_the_key(tmp_path, capsys, key, doc):
+    code = main(["run", write_doc(tmp_path, {**SILVER_DOC, **doc})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be <= {1 << 20}" in err
+
+
+def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_path, capsys):
+    # the stock magnet, then 1 m of free flight at 660 m/s: both beams leave
+    # the stock +-6e-4 m window
+    doc = {**SILVER_DOC, "segments": [
+        {"beta_tesla_per_m": 1000.0, "duration_s": 0.035 / 660.0},
+        {"beta_tesla_per_m": 0.0, "duration_s": 1.515e-3}]}
+    code = main(["run", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "component m=+1/2 lies outside the density window [-0.0006, 0.0006] m" in err
+    assert "centroid is -0.00423532 m and its width 1.5e-05 m" in err
+
+
 def test_entropy_rejects_huge_sample_count(tmp_path, capsys):
     code = main(["entropy", write_doc(tmp_path, SCALED_DOC), "--samples", str(10**12)])
     err = capsys.readouterr().err

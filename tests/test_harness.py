@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from sgsim import (
     scaled_config,
     scenario_from_dict,
 )
-from sgsim.harness import SILVER_GRID, SILVER_ORACLE_STEPS
+from sgsim.harness import GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER_GRID, SILVER_ORACLE_STEPS
 
 HALF = SpinQN.parse("1/2")
 
@@ -399,6 +400,30 @@ def test_scenario_from_dict_rejects_non_numeric_float_keys(key, value):
         doc[key] = value
     with pytest.raises(ValueError, match=re.escape(f"{key} must be a number")):
         scenario_from_dict(doc)
+
+
+def _doc_with(key: str, value) -> dict:
+    doc = {"twice_s": 1, "coeffs": [1, 1]}
+    if key == "grid.n":
+        doc["grid"] = {"z_min_m": -1e-3, "z_max_m": 1e-3, "n": value}
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, cap, huge", [("grid.n", GRID_N_LIMIT, 1 << 40),
+                                            ("oracle_steps", ORACLE_STEPS_LIMIT, 10**12)])
+def test_scenario_from_dict_caps_integer_keys_before_allocating(key, cap, huge):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be <= {cap}")):
+            scenario_from_dict(_doc_with(key, huge))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    sc = scenario_from_dict(_doc_with(key, cap))  # parsing allocates nothing
+    assert (sc.grid.n if key == "grid.n" else sc.oracle_steps) == cap
 
 
 def test_scenario_from_dict_accepts_integral_floats():

@@ -145,6 +145,15 @@ def test_density_detects_boundary_leak():
         position_density_z(st, WIDE_GRID)
 
 
+def test_density_names_a_weighted_component_outside_the_window():
+    # the m = -1/2 packet sits 1000 widths beyond the window's edge
+    with pytest.raises(ValueError, match="m=-1/2 lies outside the density window"):
+        position_density_z(make_state([1.0, 1.0], centers=[0.0, 1040.0]), WIDE_GRID)
+    # with coefficient 0 it adds nothing, and the density is whole
+    rho = position_density_z(make_state([1.0, 0.0], centers=[0.0, 1040.0]), WIDE_GRID)
+    assert abs(rho.values.sum() * WIDE_GRID.dz - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Spin reduced density matrix
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ def test_hybrid_state_validation():
         HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z)
     with pytest.raises(ValueError):
         HybridState(HALF, np.array([1.0, 1.0]), st.z)
-    bad_packet = from_gaussian(1.0)
+    bad_packet = from_gaussian(1.0).quad
     bad_packet = type(bad_packet)(bad_packet.a, bad_packet.b, bad_packet.c + 0.3)
     with pytest.raises(ValueError, match="unit norm"):
-        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1])))
+        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1].quad)))
     with pytest.raises(ValueError, match="normalized"):
         HybridState(HALF, np.array([np.nan, 1.0]), st.z)
 

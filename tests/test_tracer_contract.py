@@ -1,0 +1,63 @@
+"""The names that bench/tracer.py wraps must exist in sgsim, and a traced
+closed-form operation must record the spans the per-layer figures read.
+A renamed function would otherwise leave its figures at 0 without an
+error.  The tracer is loaded from its file, as the benchmark runs it.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from sgsim import GradientSegment, Grid, Scenario, SpinQN, default_silver_config, harness
+
+TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("sgsim_bench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    tracer.Tracer().prepare()  # raises AttributeError on a missing name
+    for table in (tracer.SPANNED, tracer.COUNTED):
+        for modname, names in table.items():
+            home = sys.modules[f"sgsim.{modname}"]
+            for name in names:
+                assert callable(getattr(home, name)), f"sgsim.{modname}.{name}"
+
+
+def test_traced_run_records_the_closed_form_spans():
+    tracer = load_tracer()
+    cfg = default_silver_config()
+    sc = Scenario(cfg=cfg, spin=SpinQN(2), initial_coeffs=np.ones(3) / np.sqrt(3.0),
+                  segments=(GradientSegment(cfg.beta, cfg.transit_time / 2),
+                            GradientSegment(-cfg.beta, cfg.transit_time / 2)),
+                  grid=Grid(-6e-4, 6e-4, 4096))
+    t = tracer.Tracer()
+    t.prepare()
+    t.install()
+    try:
+        with t.span("op"):
+            harness.run(sc)
+            harness.entropy_timeline(sc, 9)
+    finally:
+        t.uninstall()
+    summary = tracer.summarize(t.spans, t.counts)
+    assert summary["nested"] and summary["disjoint"]
+    names = summary["names"]
+    for name in ("propagator.evolve", "observables.position_density_z",
+                 "observables.spin_rdm", "harness.run", "harness.entropy_timeline"):
+        assert names.get(name, {}).get("calls", 0) > 0, name
+    assert summary["evolve_in_timeline"] == 2
+    assert names["observables.position_density_z"]["bases"]["point_component"] == 3 * 4096
+    # the wrappers are gone again
+    assert harness.evolve is sys.modules["sgsim.propagator"].evolve
+    assert not hasattr(harness.evolve, "__wrapped__")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import packet_distance
-from sgsim import (Grid, QuadExpPacket, boost, canonical, free_evolve, from_gaussian,
-                   global_phase, moments, norm, normalized, overlap, sample, translate)
+from sgsim import (CentredPacket, Grid, QuadExpPacket, boost, canonical, free_evolve,
+                   from_gaussian, global_phase, moments, norm, normalized, overlap, sample,
+                   translate)
 
 NORM_TOL = 1e-12
 
@@ -22,7 +23,7 @@ def quad_grid(span=24.0, n=2048) -> Grid:
     return Grid(-span / 2, span / 2, n)
 
 
-def quadrature_moments(p: QuadExpPacket, grid: Grid):
+def quadrature_moments(p: CentredPacket, grid: Grid):
     """Independent grid-based moments: norm, centroid, variance, <p>/hbar."""
     z = grid.z
     psi = sample(p, grid)
@@ -47,19 +48,31 @@ def test_packet_validation():
         from_gaussian(-1.0)
     with pytest.raises(ValueError):
         from_gaussian(0.0)
+    with pytest.raises(ValueError, match="Re\\(s2\\) > 0"):
+        CentredPacket(0.0, 0.0, -1.0 + 1j, 0.0)
+    with pytest.raises(ValueError, match="Re\\(s2\\) > 0"):
+        CentredPacket(0.0, 0.0, 0.5j, 0.0)
+    with pytest.raises(ValueError, match="q must be finite"):
+        CentredPacket(np.nan, 0.0, 1.0 + 0j, 0.0)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        CentredPacket(0.0, 0.0, 1.0 + 0j, np.inf)
+    with pytest.raises(ValueError, match="k must be finite"):
+        translate(boost(from_gaussian(1.0), np.nan), 1.0)
 
 
 def test_standard_gaussian_parameters():
     p = from_gaussian(1.0)
-    assert p.a == -0.25
-    assert p.b == 0
-    assert p.c == pytest.approx(-0.25 * math.log(2 * math.pi), abs=1e-15)
+    assert (p.q, p.k, p.s2, p.phase) == (0.0, 0.0, 1.0, 0.0)
+    view = p.quad
+    assert view.a == -0.25
+    assert view.b == 0
+    assert view.c == pytest.approx(-0.25 * math.log(2 * math.pi), abs=1e-15)
 
 
 def test_from_gaussian_moments_closed_form():
     p = from_gaussian(1.0, z0=2.0)
     m = moments(p)
-    assert m.norm == pytest.approx(1.0, abs=NORM_TOL)
+    assert norm(p.quad) == pytest.approx(1.0, abs=NORM_TOL)
     assert m.centroid == pytest.approx(2.0, abs=1e-14)
     assert m.variance == pytest.approx(1.0, abs=1e-14)
 
@@ -77,9 +90,10 @@ def test_translate_algebra():
     p = from_gaussian(1.0)
     assert translate(p, 0.0) == p
     q = translate(p, 1.0)
-    assert q.a == p.a
-    assert q.b == pytest.approx(0.5)
-    assert q.c == pytest.approx(p.c - 0.25)
+    assert (q.q, q.k, q.s2, q.phase) == (1.0, p.k, p.s2, p.phase)
+    assert q.quad.a == p.quad.a
+    assert q.quad.b == pytest.approx(0.5)
+    assert q.quad.c == pytest.approx(p.quad.c - 0.25)
 
 
 def test_translate_moments_vs_quadrature():
@@ -114,7 +128,7 @@ def test_global_phase():
     z = np.linspace(-2, 2, 7)
     np.testing.assert_allclose(sample(global_phase(p, math.pi), z), -sample(p, z),
                                rtol=1e-12)
-    assert norm(global_phase(p, 2.34)) == pytest.approx(norm(p), abs=NORM_TOL)
+    assert norm(global_phase(p, 2.34).quad) == pytest.approx(1.0, abs=NORM_TOL)
 
 
 def test_free_evolve_identity_and_errors():
@@ -132,7 +146,7 @@ def test_free_evolve_variance_growth():
     # sigma = hbar = M = 1, t = 2: variance doubles to exactly 2
     p = free_evolve(from_gaussian(1.0), 2.0, 1.0)
     assert moments(p).variance == pytest.approx(2.0, abs=1e-12)
-    assert moments(p).norm == pytest.approx(1.0, abs=NORM_TOL)
+    assert norm(p.quad) == pytest.approx(1.0, abs=NORM_TOL)
 
 
 def test_free_evolve_centroid_drift():
@@ -178,16 +192,16 @@ def test_overlap_vs_quadrature():
 def test_moments_after_operations():
     p = from_gaussian(1.2)
     m0 = moments(p, hbar=2.0)
-    assert m0 == pytest.approx((1.0, 0.0, 1.44, 0.0), abs=1e-13)
+    assert m0 == pytest.approx((0.0, 1.44, 0.0), abs=1e-13)
     boosted = moments(boost(p, 1.5), hbar=2.0)
     assert boosted.mean_momentum - m0.mean_momentum == pytest.approx(3.0, abs=1e-13)
-    evolved = moments(free_evolve(p, 2.5, 1.0, 2.0), hbar=2.0)
-    assert evolved.norm == pytest.approx(1.0, abs=NORM_TOL)
+    evolved = free_evolve(p, 2.5, 1.0, 2.0)
+    assert norm(evolved.quad) == pytest.approx(1.0, abs=NORM_TOL)
 
 
 def test_sample_point_values():
-    p = QuadExpPacket(-0.25 + 0j, 0j, 0j)
-    np.testing.assert_array_equal(sample(p, np.array([0.0])), [1.0 + 0j])
+    peak = sample(from_gaussian(1.0), np.array([0.0]))
+    np.testing.assert_allclose(peak, [(2 * math.pi) ** -0.25], rtol=1e-15)
     # even packet on a symmetric set of nodes
     z = np.linspace(-4, 4, 9)
     vals = sample(from_gaussian(1.3), z)
@@ -198,7 +212,7 @@ def test_sample_discrete_norm_matches_closed_form():
     grid = quad_grid()
     p = from_gaussian(0.9, z0=1.0, k0=2.0)
     discrete = math.sqrt(np.sum(np.abs(sample(p, grid)) ** 2) * grid.dz)
-    assert discrete == pytest.approx(norm(p), rel=1e-10)
+    assert discrete == pytest.approx(1.0, rel=1e-10)
 
 
 def test_normalized_restores_unit_norm():
@@ -207,8 +221,8 @@ def test_normalized_restores_unit_norm():
 
 
 def test_canonical_wraps_phase():
-    p = QuadExpPacket(-0.25 + 0j, 0j, 1j * (2 * math.pi * 3 + 0.25))
-    assert canonical(p).c.imag == pytest.approx(0.25, abs=1e-12)
+    p = global_phase(from_gaussian(1.0), 2 * math.pi * 3 + 0.25)
+    assert canonical(p).phase == pytest.approx(0.25, abs=1e-12)
     assert packet_distance(p, global_phase(p, 2 * math.pi)) <= 1e-12
 
 
@@ -222,7 +236,7 @@ def test_operations_preserve_norm(sigma, z0, k0, delta, phi, dk, t):
     p = from_gaussian(sigma, z0, k0)
     for q in (translate(p, delta), boost(p, dk), global_phase(p, phi),
               free_evolve(p, t, 1.0)):
-        assert abs(norm(q) - 1.0) <= NORM_TOL
+        assert abs(norm(q.quad) - 1.0) <= NORM_TOL
 
 
 @given(sigma=sigmas, z0=positions, k0=wavenumbers, t1=times, t2=times)
