@@ -214,8 +214,7 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
     returns an array with columns (t, entropy).
 
     The closed form holds at any t, so one batched evolve from the start of
-    each segment gives both its samples and the state at its end, and the
-    samples of all segments share one spin_rdm.
+    each segment gives its samples and its end, and one spin_rdm takes all.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -229,12 +228,13 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
         end = start + seg.duration
         upto = int(np.searchsorted(times, end, side="right"))
         dt = np.append(times[done:upto] - start, seg.duration)
-        batch = evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta))
-        parts.append(batch.at(slice(0, upto - done)))
-        st = batch.at(-1)  # the end of this segment
+        parts.append(evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta)))
+        st = parts[-1].at(-1)  # the end of this segment, the start of the next
         done, start = upto, end
-    joined = parts[0] if len(parts) == 1 else join_times(parts)
-    return np.column_stack([times, entanglement_entropy(spin_rdm(joined))])
+    # the last row of each part is its segment's end, not a sample
+    ends = np.cumsum([len(part.coeffs) for part in parts]) - 1
+    entropy = entanglement_entropy(spin_rdm(parts[0] if len(parts) == 1 else join_times(parts)))
+    return np.column_stack([times, np.delete(entropy, ends)])
 
 
 def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float]]:

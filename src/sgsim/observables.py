@@ -55,7 +55,8 @@ class SpinRDM:
             raise ValueError(f"matrix must be square, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix must be finite")
-        if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= RDM_TOL:
+        herm = m.conj().swapaxes(-1, -2)
+        if not (np.array_equal(m, herm) or np.abs(m - herm).max() <= RDM_TOL):
             raise ValueError("matrix must be Hermitian")
         trace = m.trace(axis1=-2, axis2=-1)
         if not (abs(trace.real - 1.0) <= RDM_TOL).all():
@@ -69,26 +70,28 @@ class SpinRDM:
 def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
     """p(z) = sum_m |c_m|^2 |psi_m(z)|^2.  Components belonging to different
     m never interfere: they are attached to orthogonal spin states.  A
-    weighted component wholly outside the window is an error that names its
-    closed-form centroid and width.
-    """
+    weighted component wholly outside the window is an error naming its
+    closed-form centroid and width."""
     z, weights = st.z, np.abs(st.coeffs) ** 2
     var = moments(z).variance
-    # |psi_m| is exp(-(z - q)^2 / (4 var)) times a constant that the weights
-    # take, in one (d, n) buffer filled in place.  Exponents are floored at
-    # EXP_FLOOR: exp is slow where its result underflows.
-    amps = np.subtract(grid.z, z.q[:, None])
-    np.square(amps, out=amps)
-    amps *= (-0.25 / var)[:, None]
-    outside = amps.max(axis=1) < EXP_FLOOR
+    # a beam this far off the nodes has no sample above exp(EXP_FLOOR)
+    gap = np.maximum(grid.z_min - z.q, z.q - (grid.z_max - grid.dz))
+    outside = (gap > 0) & (gap * gap > -4.0 * EXP_FLOOR * var)
     lost = np.flatnonzero(outside & (weights > 0))
     if lost.size:
         i = lost[0]
         raise ValueError(f"component m={st.s.label(st.s.m_values()[i])} lies outside the "
                          f"density window [{grid.z_min:g}, {grid.z_max:g}] m: its closed-form "
                          f"centroid is {z.q[i]:.6g} m and its width {np.sqrt(var[i]):.3g} m")
+    # |psi_m| is exp(-(z - q)^2 / (4 var)) times a constant that the weights
+    # take, in one (d, n) buffer filled in place; exponents are floored at
+    # EXP_FLOOR, since exp is slow where its result underflows
+    amps = np.subtract(grid.z, z.q[:, None])
+    np.square(amps, out=amps)
+    amps *= (-0.25 / var)[:, None]
     np.exp(np.maximum(amps, EXP_FLOOR, out=amps), out=amps)
-    amps[outside] = 0.0  # weightless components outside the window
+    if outside.any():
+        amps[outside] = 0.0  # weightless components outside the window
     check_boundary_leak(amps, st.s, "in the density window")
     weights *= np.exp(2.0 * log_amplitude(z.s2).real)
     return DensityProfile(grid, weights @ np.square(amps, out=amps))

@@ -33,9 +33,7 @@ from .wavepacket import (CentredPacket, QuadExpPacket, boost, centred, free_evol
                          sample, translate)
 
 COEFF_NORM_TOL = 1e-12
-# A centred packet has unit norm by construction; a QuadExpPacket given as
-# the z packet must be unit norm within this fixed tolerance.
-PACKET_NORM_TOL = 1e-12
+PACKET_NORM_TOL = 1e-12  # fixed, for a QuadExpPacket given as the z packet
 
 Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
@@ -66,8 +64,7 @@ class HybridState:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
 
     def at(self, i: int | slice) -> "HybridState":
-        """Row (or rows) i of a state evolved with a (s, 1) array of times;
-        the rows of a valid state are valid, so they are not checked again."""
+        """Row or rows i of a batched state; rows of a valid state are valid."""
         view = object.__new__(HybridState)
         vars(view).update(s=self.s, coeffs=self.coeffs[i], z=self.z[i])
         return view
@@ -135,12 +132,11 @@ def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     factors as one update of the centred arrays; a (s, 1) array of times
     gives a state with a leading time axis of length s."""
     _check_times(t)
-    m, z = st.s.m_values(), st.z
-    kick = cfg.gamma * cfg.beta * t * m
-    flight = cfg.hbar * t / cfg.mass
+    z, gmt = st.z, cfg.gamma * t * st.s.m_values()
+    kick, flight = cfg.beta * gmt, cfg.hbar * t / cfg.mass
     q = z.q + (z.k + 0.5 * kick) * flight
-    # Larmor phase, and u2c_phase(m, t, cfg) = -kick^2 flight / 6
-    coeffs = st.coeffs * np.exp(1j * (cfg.gamma * cfg.b0 * m * t - kick * kick * flight / 6.0))
+    # Larmor phase gamma m t B0, and u2c_phase(m, t, cfg) = -kick^2 flight / 6
+    coeffs = st.coeffs * np.exp(1j * gmt * (cfg.b0 - kick * (cfg.beta / 6.0 * flight)))
     return HybridState(st.s, coeffs, CentredPacket(
         q, z.k + kick, z.s2 + 0.5j * flight, z.phase + 0.5 * flight * z.k * z.k + kick * q))
 

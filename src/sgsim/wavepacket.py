@@ -15,12 +15,11 @@ hbar k^2 t / (2M) to the phase.  A beam far from the origin is only a
 large q, so rounding does not grow with the drift.  A real Gaussian of
 spread sigma has s2 = sigma^2; |psi|^2 has variance |s2|^2 / Re s2.
 
-Every operation is elementwise, so a packet may hold arrays of
-broadcastable shapes, one packet per element: HybridState keeps its spin
-components (and an optional leading time axis) this way.  QuadExpPacket,
-exp(a z^2 + b z + c), is the exponent view of a packet and the form in
-which any Gaussian, normalized or not, can be given; norm and normalized
-act on it.  hbar is passed explicitly, so scaled-unit tests read naturally.
+Every operation is elementwise, so a packet may hold broadcastable arrays,
+one packet per element, as HybridState does.  QuadExpPacket, exp(a z^2 +
+b z + c), is the exponent view of a packet and the form in which any
+Gaussian, normalized or not, can be given; norm and normalized act on it.
+hbar is passed explicitly, so scaled-unit tests read naturally.
 """
 
 from __future__ import annotations
@@ -79,11 +78,11 @@ class CentredPacket:
 
     def __getitem__(self, index) -> "CentredPacket":
         """The packets at `index` of this valid stack, not checked again."""
-        values = vars(self).values()
-        if len({np.shape(v) for v in values}) > 1:
-            values = np.broadcast_arrays(*values)
+        q, k, s2, phase = self.q, self.k, self.s2, self.phase
+        if not np.shape(q) == np.shape(k) == np.shape(s2) == np.shape(phase):
+            q, k, s2, phase = np.broadcast_arrays(q, k, s2, phase)
         view = object.__new__(CentredPacket)
-        vars(view).update(zip(vars(self), (v[index] for v in values)))
+        vars(view).update(q=q[index], k=k[index], s2=s2[index], phase=phase[index])
         return view
 
     @property
@@ -102,8 +101,7 @@ class PacketMoments(NamedTuple):
 
 
 def log_amplitude(s2):
-    """log of the prefactor (Re s2 / (2 pi))^(1/4) s2^(-1/2) that gives unit
-    norm; Re s2 > 0 keeps the principal branch continuous."""
+    """log of the unit-norm prefactor (Re s2 / (2 pi))^(1/4) s2^(-1/2)."""
     return 0.25 * np.log(s2.real / _TWO_PI) - 0.5 * np.log(s2)
 
 
@@ -184,15 +182,17 @@ def overlap(p: CentredPacket, q: CentredPacket) -> complex:
         exp(-(d - 2i dk conj(s2_p)) (d + 2i dk s2_q) / (4 S)
             + i (phase_q - phase_p - (k_p + k_q) d / 2)).
 
-    An exponent below EXP_FLOOR gives 0 without its phase: separated beams
-    have phases of 1e6 rad and more, which cost exp a slow reduction."""
+    Entries whose exponent is below EXP_FLOOR are 0, and neither exp nor the
+    root runs on them: separated beams carry phases of 1e6 rad and more,
+    whose argument reduction is slow."""
     sp, sq = np.conj(p.s2), q.s2
     inv = 1.0 / (sp + sq)
     d, dk2 = q.q - p.q, 2j * (q.k - p.k)
     expo = (d - dk2 * sp) * (d + dk2 * sq) * (-0.25 * inv)
     expo += 1j * (q.phase - p.phase - 0.5 * (p.k + q.k) * d)
-    expo = np.where(expo.real < EXP_FLOOR, -np.inf, expo)
-    return np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv) * np.exp(expo)
+    keep, zero = expo.real >= EXP_FLOOR, np.zeros_like(expo)
+    amp = np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv, out=zero.copy(), where=keep)
+    return amp * np.exp(expo, out=zero, where=keep)
 
 
 def stack_packets(packets) -> CentredPacket | QuadExpPacket:
