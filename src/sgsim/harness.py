@@ -38,8 +38,7 @@ SILVER_ORACLE_STEPS = 4096
 # A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
 # complex array is about 4 MB at this bound.
 TIMELINE_SAMPLES_LIMIT = 4097
-# Caps of grid.n and oracle_steps, checked at parse time: a (d, n) complex
-# array is 128 MB at d = 8, and split-step keeps (d, steps) integer tables.
+# Parse-time caps: a (d, n) complex array is 128 MB at d = 8 (split-step keeps (d, steps) tables).
 GRID_N_LIMIT = ORACLE_STEPS_LIMIT = 1 << 20
 
 # Gates of the gradient-flip interferometer check.
@@ -365,8 +364,7 @@ def _parse_coeff(value, key: str) -> complex:
 
 
 def _parse_int(value, key: str, limit: float = math.inf) -> int:
-    """An integer from JSON; a bool, a non-integral number or one above
-    limit is an error."""
+    """An integer from JSON; a bool, a non-integral number or one above limit is an error."""
     if not _is_number(value) or not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value > limit:

@@ -41,7 +41,7 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 @dataclass(frozen=True, eq=False)
 class HybridState:
     """The z spinor: coefficients c_m against a per-m z packet, as (..., d)
-    arrays with column i for m = s.m_values()[i] and any leading axes times.
+    arrays of one shape, column i for m = s.m_values()[i], leading axes times.
     Free motion along x and y never couples to the spin and is not stored.
     A QuadExpPacket given as z is checked for unit norm and converted."""
 
@@ -55,16 +55,21 @@ class HybridState:
             if not (abs(nrm - 1.0) <= PACKET_NORM_TOL).all():
                 raise ValueError(f"z packet must be unit norm, got {nrm}")
             object.__setattr__(self, "z", centred(self.z))
-        d = self.s.dim
-        for name, v in (("coeffs", self.coeffs), *vars(self.z).items()):
-            if np.shape(v)[-1:] != (d,):
-                raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
+        d, fields = self.s.dim, {"coeffs": self.coeffs, **vars(self.z)}
+        shapes = [getattr(v, "shape", ()) for v in fields.values()]
+        if shapes.count(shapes[0]) < len(shapes) or shapes[0][-1:] != (d,):
+            for name, v in fields.items():
+                if np.shape(v)[-1:] != (d,):
+                    raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
+            # a factor applied with a time column leaves some fields without it
+            coeffs, *z = np.broadcast_arrays(*fields.values())
+            vars(self).update(coeffs=coeffs, z=CentredPacket(*z))
         total = (np.abs(self.coeffs) ** 2).sum(-1)
         if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
 
     def at(self, i: int | slice) -> "HybridState":
-        """Row or rows i of a batched state; rows of a valid state are valid."""
+        """Row or rows i of a batched state, unchecked: rows of valid states are valid."""
         view = object.__new__(HybridState)
         vars(view).update(s=self.s, coeffs=self.coeffs[i], z=self.z[i])
         return view

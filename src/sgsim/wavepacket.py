@@ -183,8 +183,7 @@ def overlap(p: CentredPacket, q: CentredPacket) -> complex:
             + i (phase_q - phase_p - (k_p + k_q) d / 2)).
 
     Entries whose exponent is below EXP_FLOOR are 0, and neither exp nor the
-    root runs on them: separated beams carry phases of 1e6 rad and more,
-    whose argument reduction is slow."""
+    root runs on them: separated beams carry phases of 1e6 rad and more."""
     sp, sq = np.conj(p.s2), q.s2
     inv = 1.0 / (sp + sq)
     d, dk2 = q.q - p.q, 2j * (q.k - p.k)
@@ -196,8 +195,7 @@ def overlap(p: CentredPacket, q: CentredPacket) -> complex:
 
 
 def stack_packets(packets) -> CentredPacket | QuadExpPacket:
-    """One packet of (k,) arrays from an iterable of k scalar packets of one
-    class."""
+    """One packet of (k,) arrays from an iterable of k scalar packets of one class."""
     packets = list(packets)
     cls = type(packets[0])
     return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))

@@ -16,9 +16,10 @@ import pytest
 from helpers import (loop_density, loop_entropy_timeline, loop_evolve_segments,
                      loop_gaussian_hybrid)
 from sgsim import (CentredPacket, GradientSegment, Grid, HybridState, QuadExpPacket, Scenario,
-                   SpinQN, default_silver_config, entanglement_entropy, entropy_timeline,
-                   evolve, evolve_segments, from_gaussian, gaussian_hybrid,
-                   position_density_z, scaled_config, spin_rdm, stack_packets)
+                   SpinQN, apply_u1, apply_u2a, apply_u2b, apply_u2c, default_silver_config,
+                   entanglement_entropy, entropy_timeline, evolve, evolve_segments,
+                   from_gaussian, gaussian_hybrid, position_density_z, scaled_config, spin_rdm,
+                   stack_packets)
 from sgsim.harness import TIMELINE_SAMPLES_LIMIT
 
 ENTROPY_ABS_TOL = 1e-10
@@ -94,6 +95,21 @@ def test_batched_evolve_rows_match_scalar_evolve():
         for f in ("q", "k", "s2", "phase"):
             assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-13
         assert abs(entropies[i] - entanglement_entropy(spin_rdm(one))) <= 1e-14
+
+
+def test_single_factors_take_a_time_column():
+    # fields a factor leaves alone are broadcast along the time axis too
+    cfg = scaled_config(b0=0.9, beta=0.7)
+    st = gaussian_hybrid(SpinQN(2), np.array([0.6, 0.8j, 0.3]), cfg)
+    times = np.array([0.0, 0.5, 1.25])
+    for factor in (apply_u2c, apply_u2b, apply_u2a, apply_u1):
+        batch = factor(st, times[:, None], cfg)
+        assert batch.coeffs.shape == batch.z.q.shape == batch.z.phase.shape == (3, 3)
+        for i, t in enumerate(times):
+            one, row = factor(st, t, cfg), batch.at(i)
+            assert np.abs(row.coeffs - one.coeffs).max() <= 1e-15
+            for f in ("q", "k", "s2", "phase"):
+                assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-15
 
 
 def test_z_packets_are_views_of_the_arrays():
