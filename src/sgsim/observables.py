@@ -68,10 +68,9 @@ class SpinRDM:
 
 
 def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
-    """p(z) = sum_m |c_m|^2 |psi_m(z)|^2.  Components belonging to different
-    m never interfere: they are attached to orthogonal spin states.  A
-    weighted component wholly outside the window is an error naming its
-    closed-form centroid and width."""
+    """p(z) = sum_m |c_m|^2 |psi_m(z)|^2: components of different m, attached
+    to orthogonal spin states, never interfere.  A weighted component wholly
+    outside the window is an error naming its closed-form centroid and width."""
     z, weights = st.z, np.abs(st.coeffs) ** 2
     var = moments(z).variance
     # a beam this far off the nodes has no sample above exp(EXP_FLOOR)
@@ -90,8 +89,7 @@ def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
     np.square(amps, out=amps)
     amps *= (-0.25 / var)[:, None]
     np.exp(np.maximum(amps, EXP_FLOOR, out=amps), out=amps)
-    if outside.any():
-        amps[outside] = 0.0  # weightless components outside the window
+    amps[outside] = 0.0  # weightless components outside the window
     check_boundary_leak(amps, st.s, "in the density window")
     weights *= np.exp(2.0 * log_amplitude(z.s2).real)
     return DensityProfile(grid, weights @ np.square(amps, out=amps))

@@ -90,8 +90,7 @@ def spinor_l2_distance(a: SampledSpinor, b: SampledSpinor) -> float:
 
 
 def check_boundary_leak(components: np.ndarray, s: SpinQN, when: str) -> None:
-    """Raise if any component has noticeable weight at the periodic seam;
-    all-zero components are skipped."""
+    """Raise if a component has noticeable weight at the periodic seam (all-zero ones pass)."""
     comps = np.abs(components) if np.iscomplexobj(components) else components
     peak = comps.max(axis=1)
     edge = np.maximum(comps[:, 0], comps[:, -1])

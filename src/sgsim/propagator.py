@@ -161,9 +161,14 @@ def sample_state(st: HybridState, grid: Grid,
     frame_k chooses the stored gauge: component i is sampled as
     exp(-i frame_k[i] z) times the lab field, matching what the split
     stepper carries.  Default is the lab frame."""
-    frame_k = np.zeros(st.s.dim) if frame_k is None else np.asarray(frame_k, dtype=float)
-    comps = st.coeffs[:, None] * sample(boost(st.z, -frame_k)[:, None], grid)
-    return SampledSpinor(grid, st.s, comps, frame_k)
+    if frame_k is None:
+        frame_k = np.zeros(st.s.dim)
+    # row by row: one (d, n) temporary would move the heap's mmap threshold
+    # and cost the split stepper thousands of page faults per run
+    comps = np.empty((st.s.dim, grid.n), dtype=complex)
+    for i, (c, p) in enumerate(zip(st.coeffs, st.z_packets)):
+        comps[i] = c * sample(boost(p, -frame_k[i]), grid)
+    return SampledSpinor(grid, st.s, comps, np.asarray(frame_k, dtype=float))
 
 
 def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,

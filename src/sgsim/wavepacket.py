@@ -17,9 +17,8 @@ spread sigma has s2 = sigma^2; |psi|^2 has variance |s2|^2 / Re s2.
 
 Every operation is elementwise, so a packet may hold broadcastable arrays,
 one packet per element, as HybridState does.  QuadExpPacket, exp(a z^2 +
-b z + c), is the exponent view of a packet and the form in which any
-Gaussian, normalized or not, can be given; norm and normalized act on it.
-hbar is passed explicitly, so scaled-unit tests read naturally.
+b z + c), is the exponent view of a packet and the form any Gaussian,
+normalized or not, can be given in; norm and normalized act on it.
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ class CentredPacket:
 
     @property
     def quad(self) -> QuadExpPacket:
-        """The exponent view exp(a z^2 + b z + c).  c holds -q^2 / (4 s2), so
-        the view loses digits as the beam drifts; the centred fields do not."""
+        """The exponent view exp(a z^2 + b z + c); its c loses digits as q grows."""
         a = -0.25 / self.s2
         c = (a * self.q - 1j * self.k) * self.q + 1j * self.phase + log_amplitude(self.s2)
         return QuadExpPacket(a, -2.0 * a * self.q + 1j * self.k, c)
