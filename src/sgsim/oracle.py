@@ -161,15 +161,20 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
         phi[c] *= potential(c, 0.5, 0)
     phik = np.empty_like(phi)
     tables, lows = [None] * live.size, [0] * live.size
+    # tables fill buffers made once: fresh 2n-entry temporaries cost page faults
+    work, store = np.empty(2 * n), np.empty((live.size, 2 * n), dtype=complex)
     for j in range(steps):
         np.fft.fft(phi, axis=-1, out=phik)
         for c in range(live.size):
             if j % block[c] == 0:
                 ends = p[c, j], p[c, min(j + block[c], steps) - 1]
                 lows[c] = min(ends) - half
-                idx = np.arange(lows[c], max(ends) + half)
-                tables[c] = np.exp(-1j * cfg.hbar * (dk * idx + frame[live[c]]) ** 2
-                                   * tau / (2.0 * cfg.mass))
+                w = work[:max(ends) + half - lows[c]]
+                np.multiply(dk, np.arange(lows[c], max(ends) + half), out=w)
+                w += frame[live[c]]
+                tables[c] = t = np.multiply(-1j * cfg.hbar, np.square(w, out=w),
+                                            out=store[c, :w.size])
+                np.exp(np.divide(np.multiply(t, tau, out=t), 2.0 * cfg.mass, out=t), out=t)
             at = p[c, j] - lows[c]
             phik[c, :half] *= tables[c][at:at + half]
             phik[c, half:] *= tables[c][at - half:at]

@@ -40,10 +40,9 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """The z spinor: coefficients c_m against a per-m z packet, as (..., d)
-    arrays of one shape, column i for m = s.m_values()[i], leading axes times.
-    Free motion along x and y never couples to the spin and is not stored.
-    A QuadExpPacket given as z is checked for unit norm and converted."""
+    """The z spinor: coefficients c_m against a per-m z packet, (..., d) arrays of
+    one shape, column i for m = s.m_values()[i], leading axes times (x and y never
+    couple to the spin).  A QuadExpPacket given as z is checked and converted."""
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
@@ -161,14 +160,9 @@ def sample_state(st: HybridState, grid: Grid,
     frame_k chooses the stored gauge: component i is sampled as
     exp(-i frame_k[i] z) times the lab field, matching what the split
     stepper carries.  Default is the lab frame."""
-    if frame_k is None:
-        frame_k = np.zeros(st.s.dim)
-    # row by row: one (d, n) temporary would move the heap's mmap threshold
-    # and cost the split stepper thousands of page faults per run
-    comps = np.empty((st.s.dim, grid.n), dtype=complex)
-    for i, (c, p) in enumerate(zip(st.coeffs, st.z_packets)):
-        comps[i] = c * sample(boost(p, -frame_k[i]), grid)
-    return SampledSpinor(grid, st.s, comps, np.asarray(frame_k, dtype=float))
+    frame_k = np.zeros(st.s.dim) if frame_k is None else np.asarray(frame_k, dtype=float)
+    comps = st.coeffs[:, None] * sample(boost(st.z, -frame_k)[:, None], grid)
+    return SampledSpinor(grid, st.s, comps, frame_k)
 
 
 def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
