@@ -26,7 +26,7 @@ from sgsim import GradientSegment, Scenario, SpinQN, default_silver_config, entr
 from sgsim.harness import SILVER_GRID
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(
         description="Entropy-vs-time curves for a range of field gradients")
     ap.add_argument("--betas", default="250,500,1000,2000",
@@ -35,7 +35,7 @@ def main() -> None:
                     help="window in seconds (default 10 ns, the onset regime)")
     ap.add_argument("--samples", type=int, default=65)
     ap.add_argument("--out", default="results/entropy_sweep.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     betas = [float(b) for b in args.betas.split(",")]
     base = default_silver_config()

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import harness
+from .config import SpinQN
 from .harness import DENSITY_TOL
-from .spin_algebra import SpinQN
 
 BCH_TOL = 1e-6
 

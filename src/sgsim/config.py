@@ -1,4 +1,4 @@
-"""Experiment configuration containers.
+"""Experiment configuration containers and the spin quantum number.
 
 Everything downstream (analytic propagation, split-step checks, observables)
 reads physical parameters from these dataclasses.  SI units throughout unless
@@ -8,7 +8,6 @@ the code never assumes a unit system, it only combines the fields it is given.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -70,8 +69,13 @@ class ExperimentConfig:
         return self.magnet_length / self.v0
 
     def with_beta(self, beta: float) -> "ExperimentConfig":
-        """Copy of this config with a different gradient."""
-        return dataclasses.replace(self, beta=beta)
+        """Copy of this config with a different gradient; the other fields
+        were checked when this one was built."""
+        if not math.isfinite(beta):
+            raise ValueError("beta must be finite")
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), beta=beta)
+        return new
 
 
 @dataclass(frozen=True)
@@ -123,3 +127,42 @@ class Grid:
     def k(self) -> np.ndarray:
         """FFT-ordered angular wavenumbers."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
+
+
+@dataclass(frozen=True)
+class SpinQN:
+    """Spin quantum number stored as twice_s = 2s, so half-integer spins stay
+    integers; every per-m array is ordered m = s, s-1, ..., -s."""
+
+    twice_s: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.twice_s, (int, np.integer)) or self.twice_s < 0:
+            raise ValueError(f"twice_s must be a nonnegative integer, got {self.twice_s!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> "SpinQN":
+        """Accept '1/2', '3/2', '1', '2' style spin labels."""
+        text = text.strip()
+        if text.endswith("/2"):
+            return cls(int(text[:-2]))
+        return cls(2 * int(text))
+
+    @property
+    def s(self) -> float:
+        return self.twice_s / 2.0
+
+    @property
+    def dim(self) -> int:
+        return self.twice_s + 1
+
+    def m_values(self) -> np.ndarray:
+        """Magnetic quantum numbers, descending from +s to -s."""
+        return self.s - np.arange(self.dim)
+
+    def label(self, m: float) -> str:
+        """Human-readable m label: '+1/2', '0', '-3/2', ..."""
+        tm = round(2 * m)
+        if self.twice_s % 2 == 0:
+            return f"{tm // 2:+d}" if tm else "0"
+        return f"{tm:+d}/2"

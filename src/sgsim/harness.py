@@ -18,14 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegment, Grid
+from .config import (BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegment, Grid,
+                     SpinQN)
 from .observables import (entanglement_entropy, peak_separation, position_density_z,
                           spin_rdm)
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      split_step_evolve)
 from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, join_times, sample_state)
-from .spin_algebra import SpinQN
 from .wavepacket import from_gaussian, moments, sample
 
 VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table", "bch-check")

@@ -12,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig, Grid
 from .oracle import check_boundary_leak
 from .propagator import HybridState
-from .wavepacket import EXP_FLOOR, log_amplitude, moments, overlap, sample
+from .wavepacket import EXP_FLOOR, log_amplitude, moments, overlap
 
 # Eigenvalues at or below this contribute 0 to -sum(lam ln lam).
 ENTROPY_EIG_CLIP = 1e-14
@@ -119,17 +119,6 @@ def entanglement_entropy(rho: SpinRDM | np.ndarray) -> float | np.ndarray:
     entropy = -np.sum(kept * np.log(kept), axis=-1)
     entropy = np.where(entropy > 0.0, entropy, 0.0)  # +0.0, never -0.0
     return float(entropy) if entropy.ndim == 0 else entropy
-
-
-def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
-    """Entropy of the position-side reduction, via grid quadrature.
-
-    The nonzero spectrum of sum_m |c_m psi_m><c_m psi_m| equals that of the
-    d x d Gram matrix G_{ij} = conj(c_i) c_j <psi_i|psi_j>, so for a pure
-    joint state this must agree with entanglement_entropy(spin_rdm(st)).
-    """
-    fields = st.coeffs[:, None] * sample(st.z[:, None], grid)
-    return entanglement_entropy(fields.conj() @ fields.T * grid.dz)
 
 
 class SemiclassicalKinematics(NamedTuple):

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, Grid
-from .spin_algebra import SpinQN
+from .config import ExperimentConfig, Grid, SpinQN
 
 # Boundary samples must stay below this fraction of the peak for a
 # periodic-grid run to be trusted.
@@ -63,10 +62,6 @@ class SampledSpinor:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.components) ** 2) * self.grid.dz))
-
-    def normalized(self) -> "SampledSpinor":
-        return SampledSpinor(self.grid, self.s, self.components / self.norm(),
-                             self.frame_k.copy())
 
     def density(self) -> np.ndarray:
         """Position probability density (1/length); frame phases drop out."""
@@ -229,12 +224,3 @@ def matrix_exponential(H: np.ndarray, scale: complex) -> np.ndarray:
         raise ValueError(f"H must be Hermitian, got a defect of {herm_defect:.3e}")
     w, Q = np.linalg.eigh((H + Hh) / 2.0)
     return (Q * np.exp(scale * w)[..., None, :]) @ np.swapaxes(Q.conj(), -1, -2)
-
-
-def quadrature_overlap(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
-    """Discrete <f|g> = sum conj(f) g dz."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape or f.shape != (grid.n,):
-        raise ValueError(f"need two length-{grid.n} arrays, got {f.shape} and {g.shape}")
-    return complex(np.vdot(f, g) * grid.dz)

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, GradientSegment, Grid
+from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
 from .oracle import DENSE_N_LIMIT, SampledSpinor
-from .spin_algebra import SpinQN, u2c_phase
 from .wavepacket import (CentredPacket, QuadExpPacket, boost, centred, free_evolve, norm,
                          sample, translate)
 
@@ -103,6 +102,18 @@ def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> Hyb
 def _check_times(t: Times) -> None:
     if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
+
+
+def u2c_phase(m: float, t: Times, cfg: ExperimentConfig) -> float:
+    """Phase picked up by the coefficient of component m from the
+    gradient-squared spin term: -hbar gamma^2 beta^2 m^2 t^3 / (6 M).
+
+    Even in m, cubic in time; a global (physically empty) phase for
+    spin 1/2 since m^2 is then constant.  Elementwise in m and t.
+    """
+    _check_times(t)
+    g = cfg.gamma
+    return -cfg.hbar * g * g * cfg.beta * cfg.beta * m * m * t**3 / (6.0 * cfg.mass)
 
 
 def apply_u2c(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:

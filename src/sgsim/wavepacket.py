@@ -24,7 +24,7 @@ normalized or not, can be given in; norm and normalized act on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -129,11 +129,6 @@ def boost(p: CentredPacket, dk: float) -> CentredPacket:
     return CentredPacket(p.q, p.k + dk, p.s2, p.phase + dk * p.q)
 
 
-def global_phase(p: CentredPacket, phi: float) -> CentredPacket:
-    """Multiply by exp(i phi)."""
-    return CentredPacket(p.q, p.k, p.s2, p.phase + phi)
-
-
 def free_evolve(p: CentredPacket, t: float, mass: float, hbar: float = 1.0) -> CentredPacket:
     """Exact free propagation exp(-i p_z^2 t / (2 M hbar)): with tau =
     hbar t / (2M), q gains 2 tau k, s2 gains i tau and the phase tau k^2.
@@ -161,11 +156,6 @@ def normalized(p: QuadExpPacket) -> QuadExpPacket:
     return QuadExpPacket(p.a, p.b, p.c - np.log(norm(p)))
 
 
-def canonical(p: CentredPacket) -> CentredPacket:
-    """Wrap the phase into (-pi, pi] so equal packets compare equal."""
-    return global_phase(p, math.remainder(p.phase, _TWO_PI) - p.phase)
-
-
 def moments(p: CentredPacket, hbar: float = 1.0) -> PacketMoments:
     """Centroid, position variance |s2|^2 / Re s2, and mean momentum hbar k."""
     return PacketMoments(centroid=p.q, variance=p.s2.real + p.s2.imag**2 / p.s2.real,
@@ -190,13 +180,6 @@ def overlap(p: CentredPacket, q: CentredPacket) -> complex:
     keep, zero = expo.real >= EXP_FLOOR, np.zeros_like(expo)
     amp = np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv, out=zero.copy(), where=keep)
     return amp * np.exp(expo, out=zero, where=keep)
-
-
-def stack_packets(packets) -> CentredPacket | QuadExpPacket:
-    """One packet of (k,) arrays from an iterable of k scalar packets of one class."""
-    packets = list(packets)
-    cls = type(packets[0])
-    return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))
 
 
 def sample(p: CentredPacket, grid: Grid | np.ndarray) -> np.ndarray:

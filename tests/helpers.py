@@ -1,25 +1,27 @@
-"""Shared comparison utilities for the test suite, and the references that
-the code in sgsim is checked against: the loop split-step solver; the
-exp(a z^2 + b z + c) packet algebra and the batched evolve that stored
-packets that way before they were stored centred; the per-packet
+"""Shared comparison and construction utilities for the test suite, and the
+references that the code in sgsim is checked against: the loop split-step
+solver; the exp(a z^2 + b z + c) packet algebra and the batched evolve that
+stored packets that way before they were stored centred; the per-packet
 closed-form propagator on that algebra with its sample-by-sample entropy
 timeline; the full (n d) x (n d) dense matrices of the factorization
-check; and the interaction-picture propagator evaluated in mpmath.
+check; the interaction-picture propagator evaluated in mpmath; the spin
+matrices and operator-conjugation series of the BCH derivation; and the
+position-side entropy by grid quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from sgsim import (CentredPacket, ExperimentConfig, GradientSegment, Grid, HybridState,
-                   QuadExpPacket, Scenario, SpinQN, matrix_exponential, scaled_config,
-                   stack_packets, u2c_phase)
+                   QuadExpPacket, Scenario, SpinQN, entanglement_entropy, matrix_exponential,
+                   scaled_config, u2c_phase)
 from sgsim.harness import BCHCheck
 from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
                           check_boundary_leak)
@@ -56,6 +58,18 @@ def state_distance(s1: HybridState, s2: HybridState) -> float:
             ph2 = cmath.phase(c2) + p2.phase
             worst = max(worst, _circle_gap(ph1, ph2))
     return worst
+
+
+def global_phase(p: CentredPacket, phi: float) -> CentredPacket:
+    """Multiply by exp(i phi)."""
+    return CentredPacket(p.q, p.k, p.s2, p.phase + phi)
+
+
+def stack_packets(packets) -> CentredPacket | QuadExpPacket:
+    """One packet of (k,) arrays from an iterable of k scalar packets of one class."""
+    packets = list(packets)
+    cls = type(packets[0])
+    return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))
 
 
 def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,
@@ -506,3 +520,68 @@ def ip_values(packet: tuple, offsets, digits: int = IP_DIGITS) -> list:
     with mpmath.workdps(digits):
         q = -b.real / (2 * a.real)
         return [mpmath.exp((a * z + b) * z + c) for z in (q + mpmath.mpf(u) for u in offsets)]
+
+
+# ---------------------------------------------------------------------------
+# Spin operators in the descending-m basis and the similarity-transform
+# series of the BCH derivation (criterion 08), and the entropy of the
+# position-side reduction (the quadrature cross-check of spin_rdm).
+
+@dataclass(frozen=True)
+class SpinMatrices:
+    """Cartesian spin components sx, sy, sz (entries carry units of hbar)."""
+
+    s: SpinQN
+    hbar: float
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+
+
+def build_spin_matrices(s: SpinQN, hbar: float = 1.0) -> SpinMatrices:
+    """Standard ladder-operator construction in the descending-m basis."""
+    m = s.m_values()
+    # <m+1| S+ |m> = hbar sqrt(s(s+1) - m(m+1)) sits on the superdiagonal.
+    upper = hbar * np.sqrt(s.s * (s.s + 1) - m[1:] * (m[1:] + 1))
+    splus = np.diag(upper, k=1).astype(complex)
+    sx = (splus + splus.conj().T) / 2
+    sy = (splus - splus.conj().T) / 2j
+    sz = np.diag(hbar * m).astype(complex)
+    return SpinMatrices(s=s, hbar=hbar, sx=sx, sy=sy, sz=sz)
+
+
+def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"need equal square matrices, got {A.shape} and {B.shape}")
+    return A @ B - B @ A
+
+
+def conjugate_series(A: np.ndarray, B: np.ndarray, x: complex, order: int) -> np.ndarray:
+    """Truncated similarity-transform expansion of e^{xA} B e^{-xA}.
+
+    Returns sum_{k=0..order} (x^k / k!) ad_A^k(B), where ad_A(B) = [A, B].
+    Converges for any matrices; rapidly so when ||xA|| is small.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    term = np.asarray(B, dtype=complex)
+    if A.shape != term.shape:
+        raise ValueError(f"dimension mismatch: {A.shape} vs {term.shape}")
+    total = term.copy()
+    for k in range(1, order + 1):
+        term = (x / k) * commutator(A, term)
+        total += term
+    return total
+
+
+def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
+    """Entropy of the position-side reduction, via grid quadrature.
+
+    The nonzero spectrum of sum_m |c_m psi_m><c_m psi_m| equals that of the
+    d x d Gram matrix G_{ij} = conj(c_i) c_j <psi_i|psi_j>, so for a pure
+    joint state this must agree with entanglement_entropy(spin_rdm(st)).
+    """
+    psi = st.coeffs[:, None] * sample(st.z[:, None], grid)
+    return entanglement_entropy(psi.conj() @ psi.T * grid.dz)

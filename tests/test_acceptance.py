@@ -47,12 +47,10 @@ from sgsim import (
     spin_rdm,
     spinor_l2_distance,
     split_step_evolve,
-    stack_packets,
-    conjugate_series,
 )
 from sgsim.harness import SILVER_GRID
 
-from helpers import state_distance
+from helpers import conjugate_series, stack_packets, state_distance
 
 HALF = SpinQN(1)
 EQUAL_HALF = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -129,7 +127,7 @@ def test_criterion_02_split_step_oracle_and_convergence():
     elapsed = time.perf_counter() - start
 
     check(2, density_err <= 1e-4 and 3.2 <= ratio <= 4.8 and elapsed < 60.0,
-          f"oracle density L2 {density_err:.3e} (tol 1e-4); step-halving "
+          f"oracle density L2 {density_err:.0e} (tol 1e-4); step-halving "
           f"error ratio {ratio:.2f} (in [3.2, 4.8]); {elapsed:.1f}s (<60s)")
 
 

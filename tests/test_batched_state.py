@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import (loop_density, loop_entropy_timeline, loop_evolve_segments,
-                     loop_gaussian_hybrid)
+                     loop_gaussian_hybrid, stack_packets)
 from sgsim import (CentredPacket, GradientSegment, Grid, HybridState, QuadExpPacket, Scenario,
                    SpinQN, apply_u1, apply_u2a, apply_u2b, apply_u2c, default_silver_config,
                    entanglement_entropy, entropy_timeline, evolve, evolve_segments,
-                   from_gaussian, gaussian_hybrid, position_density_z, scaled_config, spin_rdm,
-                   stack_packets)
+                   from_gaussian, gaussian_hybrid, position_density_z, scaled_config, spin_rdm)
 from sgsim.harness import TIMELINE_SAMPLES_LIMIT
 
 ENTROPY_ABS_TOL = 1e-10

@@ -4,6 +4,7 @@ timeline, the factorization check, and JSON scenario parsing.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -88,6 +89,21 @@ def test_scaled_config_is_order_one():
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
     assert cfg.gamma == -1.0
     assert cfg.beta == 0.5
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_with_beta_rejects_a_non_finite_gradient(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        default_silver_config().with_beta(beta)
+
+
+def test_with_beta_carries_every_other_field():
+    cfg = default_silver_config()
+    new = cfg.with_beta(-250.0)
+    assert new.beta == -250.0 and cfg.beta == 1000.0
+    assert new == dataclasses.replace(cfg, beta=-250.0)  # same class, every field equal
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.beta = 1.0
 
 
 def test_interferometer_segments_shape():

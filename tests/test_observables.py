@@ -21,18 +21,17 @@ from sgsim import (
     from_gaussian,
     gaussian_hybrid,
     moments,
-    global_phase,
     peak_separation,
     position_density_z,
     sample,
     scaled_config,
     semiclassical,
-    spatial_reduction_entropy,
     spin_rdm,
-    stack_packets,
 )
 
 from sgsim.harness import SILVER_GRID
+
+from helpers import global_phase, spatial_reduction_entropy, stack_packets
 
 WIDE_GRID = Grid(z_min=-40.0, z_max=40.0, n=2048)
 

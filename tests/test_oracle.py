@@ -3,9 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from sgsim import (Grid, SampledSpinor, SpinQN, dense_hamiltonian, free_evolve,
-                   from_gaussian, gaussian_hybrid, matrix_exponential,
-                   quadrature_overlap, sample, sample_state, scaled_config,
-                   spinor_l2_distance, split_step_evolve)
+                   from_gaussian, gaussian_hybrid, matrix_exponential, sample, sample_state,
+                   scaled_config, spinor_l2_distance, split_step_evolve)
 
 
 def make_spinor(grid, packets, coeffs, frame_k=None):
@@ -41,7 +40,6 @@ def test_sampled_spinor_norm_and_density():
                       np.array([0.6, 0.8]))
     assert psi.norm() == pytest.approx(1.0, abs=1e-10)
     assert np.sum(psi.density()) * g.dz == pytest.approx(1.0, abs=1e-10)
-    assert psi.normalized().norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_to_lab_folds_frame_phase():
@@ -191,23 +189,3 @@ def test_matrix_exponential_validation():
         matrix_exponential(np.full((2, 2), np.nan), 1.0)
     with pytest.raises(ValueError):
         matrix_exponential(np.eye(600), 1.0)
-
-
-def test_quadrature_overlap():
-    g = Grid(-12.0, 12.0, 512)
-    f = sample(from_gaussian(1.0), g)
-    assert quadrature_overlap(f, f, g) == pytest.approx(1.0, abs=1e-10)
-    odd = g.z * np.exp(-g.z**2 / 2)
-    even = np.exp(-g.z**2 / 2)
-    assert abs(quadrature_overlap(even, odd, g)) <= 1e-12
-    with pytest.raises(ValueError):
-        quadrature_overlap(f, f[:-1], g)
-
-
-def test_quadrature_overlap_matches_closed_form():
-    from sgsim import overlap
-    g = Grid(-14.0, 14.0, 1024)
-    p = from_gaussian(1.1, z0=0.4, k0=1.0)
-    q = from_gaussian(0.8, z0=-0.7, k0=-0.5)
-    got = quadrature_overlap(sample(p, g), sample(q, g), g)
-    assert abs(got - overlap(p, q)) <= 1e-8

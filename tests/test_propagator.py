@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import state_distance
+from helpers import stack_packets, state_distance
 from sgsim import (GradientSegment, Grid, HybridState, SpinQN, apply_u1, apply_u2a,
                    apply_u2b, apply_u2c, dense_factored_matrix, dense_hamiltonian,
                    evolve, evolve_segments, from_gaussian, gaussian_hybrid,
                    matrix_exponential, moments, sample, sample_state, scaled_config,
-                   semiclassical, stack_packets)
+                   semiclassical)
 
 HALF = SpinQN(1)
 EQUAL = np.array([1.0, 1.0]) / np.sqrt(2.0)

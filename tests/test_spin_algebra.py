@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sgsim import (SpinQN, build_spin_matrices, commutator, conjugate_series,
-                   heisenberg_u2c_transform, scaled_config, u2c_phase)
+from helpers import build_spin_matrices, commutator, conjugate_series
+from sgsim import SpinQN, scaled_config, u2c_phase
 
 ALGEBRA_TOL = 1e-12
 
@@ -153,36 +153,3 @@ def test_u2c_diagonal_unitary_commutes_with_sz(twice_s):
     S = build_spin_matrices(s)
     assert np.abs(commutator(U, S.sz)).max() <= ALGEBRA_TOL
 
-
-def test_heisenberg_transform_identity_cases():
-    S = build_spin_matrices(SpinQN(2))
-    np.testing.assert_array_equal(heisenberg_u2c_transform(S, 0.0), S.sx)
-    # spin 1/2: m^2 = 1/4 for both levels, so the unitary is a global phase
-    H = build_spin_matrices(SpinQN(1))
-    np.testing.assert_allclose(heisenberg_u2c_transform(H, 1.234), H.sx, atol=1e-15)
-
-
-def test_heisenberg_transform_preserves_spectrum():
-    S = build_spin_matrices(SpinQN(2))
-    got = heisenberg_u2c_transform(S, 0.3)
-    assert np.abs(got - got.conj().T).max() <= ALGEBRA_TOL
-    np.testing.assert_allclose(np.linalg.eigvalsh(got), np.linalg.eigvalsh(S.sx),
-                               atol=1e-12)
-    # matches brute-force conjugation by the diagonal unitary
-    m = S.s.m_values()
-    U = np.diag(np.exp(1j * 0.3 * m * m))
-    np.testing.assert_allclose(got, U.conj().T @ S.sx @ U, atol=1e-14)
-
-
-def test_heisenberg_transform_is_not_a_polynomial_shortcut():
-    # One might hope the conjugation collapses to a fixed alpha-independent
-    # polynomial in the spin components; for spin 1 that particular combo
-    # is identically zero, so it cannot reproduce the transform.
-    S = build_spin_matrices(SpinQN(2))
-    hb = S.hbar
-    poly = (hb**2 * S.sx @ S.sz @ S.sz
-            + 2j * hb * S.sy @ S.sz @ S.sz @ S.sz
-            + S.sx @ S.sz @ S.sz @ S.sz @ S.sz)
-    assert np.abs(poly).max() <= 1e-15
-    got = heisenberg_u2c_transform(S, 0.3)
-    assert np.abs(got - poly).max() > 0.1

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import packet_distance
-from sgsim import (CentredPacket, Grid, QuadExpPacket, boost, canonical, free_evolve,
-                   from_gaussian, global_phase, moments, norm, normalized, overlap, sample,
-                   translate)
+from helpers import global_phase, packet_distance
+from sgsim import (CentredPacket, Grid, QuadExpPacket, boost, free_evolve, from_gaussian,
+                   moments, norm, normalized, overlap, sample, translate)
 
 NORM_TOL = 1e-12
 
@@ -218,12 +217,6 @@ def test_sample_discrete_norm_matches_closed_form():
 def test_normalized_restores_unit_norm():
     p = QuadExpPacket(-0.3 + 0.1j, 0.2 + 0.4j, 1.0 + 0.5j)
     assert norm(normalized(p)) == pytest.approx(1.0, abs=NORM_TOL)
-
-
-def test_canonical_wraps_phase():
-    p = global_phase(from_gaussian(1.0), 2 * math.pi * 3 + 0.25)
-    assert canonical(p).phase == pytest.approx(0.25, abs=1e-12)
-    assert packet_distance(p, global_phase(p, 2 * math.pi)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
