@@ -1,7 +1,7 @@
 """Command-line front end.
 
     sge run <config.json> [--out DIR]     closed-form run, report + density CSV
-    sge compare <config.json>             closed form vs split-step L2 error
+    sge compare <config.json>             closed form vs split-step L2 errors
     sge entropy <config.json> --samples N entanglement entropy timeline (CSV)
     sge interfere <config.json> --T SEC   +b/-b/+b recombination checks
     sge bch-check [--n N] [--spin S]      factored propagator vs expm
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .config import SpinQN
-from .harness import DENSITY_TOL
+from .harness import DENSITY_TOL, SPINOR_TOL
 
 BCH_TOL = 1e-6
 
@@ -43,6 +43,7 @@ def _print_report(rep: harness.Report) -> None:
     print(f"entropy_nats      {rep.entropy_nats:.6e}")
     if rep.oracle_l2_error is not None:
         print(f"oracle_l2_error   {rep.oracle_l2_error:.6e}")
+        print(f"oracle_spinor_error {rep.oracle_spinor_error:.6e}")
     if rep.bch_state_error is not None:
         print(f"bch_state_error   {rep.bch_state_error:.6e}")
 
@@ -65,15 +66,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                        "t_s,entropy_nats", rep.entropy_timeline)
 
     failed = (rep.oracle_l2_error is not None and rep.oracle_l2_error > DENSITY_TOL) or \
+             (rep.oracle_spinor_error is not None and rep.oracle_spinor_error > SPINOR_TOL) or \
              (rep.bch_state_error is not None and rep.bch_state_error > BCH_TOL)
     return 1 if failed else 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     sc = harness.load_scenario(args.config)
-    err = harness.oracle_density_error(sc)
-    print(f"oracle_l2_error {err:.6e} (tolerance {args.tol:.1e})")
-    return 0 if err <= args.tol else 1
+    err = harness.oracle_density_error(sc, spinor=True)
+    print(f"oracle_l2_error {err.density:.6e} (tolerance {args.tol:.1e})")
+    print(f"oracle_spinor_error {err.spinor:.6e} (tolerance {SPINOR_TOL:.1e})")
+    return 0 if err.density <= args.tol and err.spinor <= SPINOR_TOL else 1
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for report.json and density_z.csv")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="closed form vs split-step density error")
+    p = sub.add_parser("compare", help="closed form vs split-step density and spinor errors")
     p.add_argument("config")
     p.add_argument("--tol", type=float, default=DENSITY_TOL)
     p.set_defaults(func=cmd_compare)

@@ -23,7 +23,7 @@ from .config import (BOHR_MAGNETON_SI, HBAR_SI, ExperimentConfig, GradientSegmen
 from .observables import (entanglement_entropy, peak_separation, position_density_z,
                           spin_rdm)
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
-                     split_step_evolve)
+                     spinor_l2_distance, split_step_evolve, strang_phase)
 from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, join_times, sample_state)
 from .wavepacket import from_gaussian, moments, sample
@@ -33,7 +33,10 @@ VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table", "bch-check")
 # Stock grid for silver-scale runs: the beams deflect ~7.3e-5 m, so a
 # +-6e-4 m window keeps them far from the periodic seam.
 SILVER_GRID = Grid(z_min=-6e-4, z_max=6e-4, n=4096)
-SILVER_ORACLE_STEPS = 4096
+# Split-step steps per run, spread over the segments by duration (at least
+# one each).  A Strang step of this Hamiltonian is exact up to a known phase,
+# so one per segment reaches the rounding floor; more serve convergence studies.
+SILVER_ORACLE_STEPS = 1
 
 # A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
 # complex array is about 4 MB at this bound.
@@ -41,8 +44,10 @@ TIMELINE_SAMPLES_LIMIT = 4097
 # Parse-time caps: a (d, n) complex array is 128 MB at d = 8 (split-step keeps (d, steps) tables).
 GRID_N_LIMIT = ORACLE_STEPS_LIMIT = 1 << 20
 
-# Gates of the gradient-flip interferometer check.
+# Gates of the gradient-flip interferometer check; DENSITY_TOL and
+# SPINOR_TOL also gate the reference errors of `sge run` and `sge compare`.
 DENSITY_TOL = 1e-4
+SPINOR_TOL = 1e-6
 KICK_REL_TOL = 1e-10
 ENTROPY_TOL = 1e-6
 
@@ -127,12 +132,14 @@ class Report:
     peak_separation_m: float | None
     entropy_nats: float
     oracle_l2_error: float | None = None
+    oracle_spinor_error: float | None = None
     bch_state_error: float | None = None
     density: np.ndarray | None = None  # columns z, p(z)
     entropy_timeline: np.ndarray | None = None  # columns t, S
 
     def __post_init__(self) -> None:
-        optional = (self.peak_separation_m, self.oracle_l2_error, self.bch_state_error)
+        optional = (self.peak_separation_m, self.oracle_l2_error, self.oracle_spinor_error,
+                    self.bch_state_error)
         scalars = [self.transit_time_s, self.entropy_nats, *self.deflection_m.values(),
                    *(x for x in optional if x is not None)]
         if not all(math.isfinite(x) for x in scalars):
@@ -141,32 +148,55 @@ class Report:
     def json_dict(self) -> dict:
         doc = {k: getattr(self, k) for k in
                ("transit_time_s", "deflection_m", "peak_separation_m", "entropy_nats")}
-        doc.update((k, getattr(self, k)) for k in ("oracle_l2_error", "bch_state_error")
+        doc.update((k, getattr(self, k)) for k in
+                   ("oracle_l2_error", "oracle_spinor_error", "bch_state_error")
                    if getattr(self, k) is not None)
         return doc
 
 
-def _oracle_final_state(sc: Scenario, st0: HybridState) -> SampledSpinor:
-    """Split-step the initial state through the schedule, spreading the
-    step budget over segments in proportion to duration.
-    """
-    psi = sample_state(st0, sc.grid)
+class OracleErrors(NamedTuple):
+    """Closed form against one split-step run.  density: relative L2
+    distance of the densities.  spinor: relative L2 distance of the spinor
+    fields, the split-step one with its Strang phase removed; unlike the
+    density it sees every coefficient phase (Larmor, u2c)."""
+
+    density: float
+    spinor: float
+
+
+def _oracle_schedule(sc: Scenario) -> list[tuple[GradientSegment, int]]:
+    """(segment, steps) for each segment the split-step reference runs: the
+    step budget spread in proportion to duration, at least one a segment."""
     total = sc.total_duration
-    for seg in sc.segments:
-        if seg.duration == 0:
-            continue
-        steps = max(1, round(sc.oracle_steps * seg.duration / total))
+    return [(seg, max(1, round(sc.oracle_steps * seg.duration / total)))
+            for seg in sc.segments if seg.duration != 0]
+
+
+def _oracle_final_state(sc: Scenario, st0: HybridState) -> SampledSpinor:
+    """Split-step the initial state through the schedule."""
+    psi = sample_state(st0, sc.grid)
+    for seg, steps in _oracle_schedule(sc):
         psi = split_step_evolve(psi, seg.duration, steps, sc.cfg.with_beta(seg.beta))
     return psi
 
 
-def oracle_density_error(sc: Scenario) -> float:
-    """Relative L2 distance between closed-form and split-step densities."""
+def oracle_density_error(sc: Scenario, spinor: bool = False) -> float | OracleErrors:
+    """Relative L2 distance between closed-form and split-step densities;
+    with spinor=True, OracleErrors of the same split-step run."""
     st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     st = evolve_segments(st0, list(sc.segments), sc.cfg)
     rho_exact = position_density_z(st, sc.grid).values
-    rho_num = _oracle_final_state(sc, st0).density()
-    return float(np.linalg.norm(rho_num - rho_exact) / np.linalg.norm(rho_exact))
+    psi = _oracle_final_state(sc, st0)
+    density = float(np.linalg.norm(psi.density() - rho_exact) / np.linalg.norm(rho_exact))
+    if not spinor:
+        return density
+    m, phase = sc.spin.m_values(), np.zeros(sc.spin.dim)
+    for seg, steps in _oracle_schedule(sc):
+        phase += strang_phase(m, seg.duration, steps, sc.cfg.with_beta(seg.beta))
+    unphased = SampledSpinor(sc.grid, sc.spin, psi.components * np.exp(-1j * phase)[:, None],
+                             psi.frame_k)
+    exact = sample_state(st, sc.grid, frame_k=psi.frame_k)
+    return OracleErrors(density, spinor_l2_distance(unphased, exact))
 
 
 def run(sc: Scenario) -> Report:
@@ -180,9 +210,9 @@ def run(sc: Scenario) -> Report:
     profile = position_density_z(st, sc.grid)
     entropy = entanglement_entropy(spin_rdm(st))
 
-    oracle_err = None
+    oracle_err = oracle_spinor = None
     if "compare-table" in sc.outputs:
-        oracle_err = oracle_density_error(sc)
+        oracle_err, oracle_spinor = oracle_density_error(sc, spinor=True)
 
     timeline = None
     if "entropy-timeline" in sc.outputs:
@@ -202,6 +232,7 @@ def run(sc: Scenario) -> Report:
         peak_separation_m=peak_separation(profile),
         entropy_nats=entropy,
         oracle_l2_error=oracle_err,
+        oracle_spinor_error=oracle_spinor,
         bch_state_error=bch_err,
         density=density,
         entropy_timeline=timeline,

@@ -15,14 +15,20 @@ The gradient feeds momentum into each component at rate gamma beta m.  At
 silver-atom scale the accumulated kick (~5e9 per meter) dwarfs any
 affordable grid's Nyquist band, so SampledSpinor carries a per-component
 reference wavenumber frame_k: the physical field is
-exp(i frame_k[i] z) * components[i].  The split stepper re-gauges after
-every step, keeping each stored array centered in the momentum band.  It
-rounds each step's frame advance to a whole number of grid wavenumbers
-2 pi / L, so the kinetic phases of a run are slices of a few exactly
-computed tables instead of a fresh exp at every point and step.
-Re-gauging is exact (a pointwise phase), not an approximation; with
-frame_k = 0 and no field the scheme reduces to the textbook lab-frame
-method.
+exp(i frame_k[i] z) * components[i].  The split stepper re-gauges around
+every kinetic step, into a frame that tracks the kick delivered by the
+middle of that step, so the stored array is centred in the momentum band
+whenever it is Fourier transformed, however large one step's kick is.  It
+rounds each frame to a whole number of grid wavenumbers 2 pi / L, so the
+kinetic phases of a run are slices of a few exactly computed tables
+instead of a fresh exp at every point and step.  Re-gauging is exact (a
+pointwise phase), not an approximation; with frame_k = 0 and no field the
+scheme reduces to the textbook lab-frame method.
+
+For a potential linear in z, every Strang step is exact up to a global
+phase per component (see split_step_evolve), so a segment needs one step.
+The phase, strang_phase, is known in closed form; removing it leaves a
+field that can be compared with the closed form phases included.
 """
 
 from __future__ import annotations
@@ -97,19 +103,40 @@ def check_boundary_leak(components: np.ndarray, s: SpinQN, when: str) -> None:
             f"(edge/peak = {edge[i] / peak[i]:.2e}); enlarge the window")
 
 
+def strang_phase(m: float, t: float, steps: int, cfg: ExperimentConfig) -> float:
+    """Global phase by which `steps` Strang steps over time t lead the exact
+    evolution of component m: F_m^2 t^3 / (24 M hbar steps^2), with
+    F_m = hbar gamma beta m the force on it.  Each step contributes
+    F_m^2 tau^3 / (24 M hbar), the c-number [V, [V, T]] term of its
+    splitting error.  Elementwise in m; equal to -u2c_phase / (4 steps^2).
+    """
+    force = cfg.hbar * cfg.gamma * cfg.beta * m
+    return force * force * t**3 / (24.0 * cfg.mass * cfg.hbar * steps * steps)
+
+
 def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
                       cfg: ExperimentConfig) -> SampledSpinor:
     """Strang splitting exp(-iV tau/2) exp(-iT tau) exp(-iV tau/2) per step.
 
-    The linear potential is exponentiated exactly, so the only error is the
-    O(tau^2) splitting commutator; norms are conserved to rounding.  All
-    non-zero components are stepped together as one (d_live, n) array;
-    all-zero ones are skipped and keep their frame.
+    The linear potential is exponentiated exactly and norms are conserved
+    to rounding.  All non-zero components are stepped together as one
+    (d_live, n) array; all-zero ones are skipped and keep their frame.
 
-    After step j the frame of a component is frame_k + dk p_j, with
-    dk = 2 pi / L the grid wavenumber spacing and p_j = round(j kick / dk)
-    the kick gamma beta m tau delivered so far, rounded to whole grid
-    wavenumbers.  The regauge is still an exact pointwise phase, and the
+    Per component H = p^2/2M - F_m z plus a constant, F_m = hbar gamma beta m.
+    Of the tau^3 terms of a Strang step, [T, [T, V]] ~ [p^2, p] is 0 and
+    [V, [V, T]] is a c-number, and every higher nested commutator vanishes
+    (the structure behind the exact factorization in sgsim.propagator).  So
+    each step is exact up to a global phase per component, and `steps`
+    steps over t carry the extra phase strang_phase(m, t, steps, cfg); one
+    step is as good as many, as long as the grid resolves the state.
+
+    Mid-step frame: kinetic step j runs in the frame frame_k + dk p_j, with
+    dk = 2 pi / L the grid wavenumber spacing and p_j = round((j + 1/2)
+    kick / dk) the kick gamma beta m tau delivered by the middle of step j,
+    rounded to whole grid wavenumbers.  The kick left in the stored array
+    at each FFT is then at most dk / 2, however large a step's kick; the
+    first half-kick is regauged by p_0 and the last by round(steps kick /
+    dk) - p_{steps-1}.  Each regauge is an exact pointwise phase, and the
     kinetic factor exp(-i hbar tau (dk (q + p_j) + frame_k)^2 / 2M) of FFT
     index q becomes a slice of one exactly computed table per component.
     A table covers the steps over which p_j moves by at most n, so it holds
@@ -137,11 +164,13 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     m = psi.s.m_values()[live]
     kick = cfg.gamma * cfg.beta * m * tau  # frame advance per step
     larmor = cfg.gamma * cfg.b0 * m * tau
-    p = np.rint(np.outer(kick / dk, np.arange(steps + 1))).astype(np.int64)
+    p = np.rint(np.outer(kick / dk, np.arange(steps) + 0.5)).astype(np.int64)
+    p_end = np.rint(kick / dk * steps).astype(np.int64)
     inc = np.diff(p, axis=1)
-    r = inc.min(axis=1)
+    # a single step has no increments, and no merged multipliers
+    r = inc.min(axis=1) if steps > 1 else np.zeros(live.size, dtype=np.int64)
     # steps per kinetic table, so that (block - 1) * reach <= n
-    reach = np.abs(inc).max(axis=1)
+    reach = np.abs(inc).max(axis=1, initial=0)
     block = np.where(reach == 0, steps, 1 + n // np.maximum(reach, 1))
 
     def potential(c: int, share: float, regauge: int) -> np.ndarray:
@@ -150,10 +179,10 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
         return np.exp(1j * (share * larmor[c] + (share * kick[c] - dk * regauge) * z))
 
     merged = [(potential(c, 1.0, r[c]), potential(c, 1.0, r[c] + 1))
-              for c in range(live.size)]
+              for c in range(live.size)] if steps > 1 else []
     phi = psi.components[live]
     for c in range(live.size):
-        phi[c] *= potential(c, 0.5, 0)
+        phi[c] *= potential(c, 0.5, p[c, 0])
     phik = np.empty_like(phi)
     tables, lows = [None] * live.size, [0] * live.size
     # tables fill buffers made once: fresh 2n-entry temporaries cost page faults
@@ -178,10 +207,10 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
             for c in range(live.size):
                 phi[c] *= merged[c][inc[c, j] - r[c]]
     for c in range(live.size):
-        phi[c] *= potential(c, 0.5, inc[c, -1])
+        phi[c] *= potential(c, 0.5, p_end[c] - p[c, -1])
 
     out[live] = phi
-    frame[live] += dk * p[:, -1]
+    frame[live] += dk * p_end
     check_boundary_leak(out, psi.s, "at the end")
     return SampledSpinor(grid, psi.s, out, frame)
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from sgsim import (CentredPacket, ExperimentConfig, GradientSegment, Grid, HybridState,
-                   QuadExpPacket, Scenario, SpinQN, entanglement_entropy, matrix_exponential,
-                   scaled_config, u2c_phase)
+                   QuadExpPacket, Scenario, SpinQN, entanglement_entropy, evolve_segments,
+                   matrix_exponential, scaled_config, u2c_phase)
 from sgsim.harness import BCHCheck
 from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
                           check_boundary_leak)
@@ -70,6 +70,12 @@ def stack_packets(packets) -> CentredPacket | QuadExpPacket:
     packets = list(packets)
     cls = type(packets[0])
     return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))
+
+
+def evolve_segments_b0_off(st: HybridState, segments, cfg: ExperimentConfig) -> HybridState:
+    """evolve_segments with B0 off by a relative 1e-9, a closed form whose
+    only error is its Larmor phases (~5e5 rad over a silver transit)."""
+    return evolve_segments(st, segments, replace(cfg, b0=cfg.b0 * (1 + 1e-9)))
 
 
 def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,

@@ -6,12 +6,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import warnings
 
 import pytest
 
+from sgsim import harness
 from sgsim.cli import main
+
+from helpers import evolve_segments_b0_off
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Order-one profile so the oracle-backed subcommands stay fast.
 SCALED_DOC = {
@@ -109,9 +115,22 @@ def test_run_forces_density_output_and_gates_on_oracle(tmp_path, capsys):
 
 def test_compare_passes_at_default_tolerance(tmp_path, capsys):
     code = main(["compare", write_doc(tmp_path, SCALED_DOC)])
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "oracle_l2_error" in out
+    assert out[0].startswith("oracle_l2_error ")
+    assert out[1].startswith("oracle_spinor_error ") and "(tolerance 1.0e-06)" in out[1]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_spinor_error_gates_run_and_compare(tmp_path, capsys, monkeypatch, command):
+    doc = {**SILVER_DOC, "outputs": ["compare-table"]}
+    monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
+    code = main([command, write_doc(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == 1
+    density = float(re.search(r"^oracle_l2_error\s+(\S+)", out, re.M).group(1))
+    spinor = float(re.search(r"^oracle_spinor_error\s+(\S+)", out, re.M).group(1))
+    assert density <= 1e-10 and spinor > 1e-6
 
 
 def test_compare_fails_when_tolerance_is_unreachable(tmp_path, capsys):
@@ -296,6 +315,18 @@ def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_pa
     assert code == 2
     assert "component m=+1/2 lies outside the density window [-0.0006, 0.0006] m" in err
     assert "centroid is -0.00423532 m and its width 1.5e-05 m" in err
+
+
+def test_run_passes_on_the_silver_screen_config(tmp_path, capsys):
+    # the same drift in a +-6e-3 m window, with the split-step reference
+    out_dir = tmp_path / "results"
+    code = main(["run", os.path.join(ROOT, "configs", "silver_screen.json"),
+                 "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "oracle_spinor_error" in out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["oracle_l2_error"] <= 1e-9 and report["oracle_spinor_error"] <= 1e-7
 
 
 def test_entropy_rejects_huge_sample_count(tmp_path, capsys):

@@ -19,12 +19,14 @@ import pytest
 from sgsim import (
     GradientSegment,
     Grid,
+    OracleErrors,
     Report,
     Scenario,
     SpinQN,
     bch_check,
     default_silver_config,
     entropy_timeline,
+    harness,
     interferometer_check,
     interferometer_segments,
     load_scenario,
@@ -33,7 +35,12 @@ from sgsim import (
     scaled_config,
     scenario_from_dict,
 )
-from sgsim.harness import GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER_GRID, SILVER_ORACLE_STEPS
+from sgsim.harness import (GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER_GRID, SILVER_ORACLE_STEPS,
+                           SPINOR_TOL)
+
+from helpers import evolve_segments_b0_off
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 HALF = SpinQN.parse("1/2")
 
@@ -175,9 +182,10 @@ def test_report_json_dict_keys():
                         "peak_separation_m", "entropy_nats"}
     rep2 = Report(transit_time_s=1.0, deflection_m={"+1/2": 0.1},
                   peak_separation_m=None, entropy_nats=0.5,
-                  oracle_l2_error=1e-9, bch_state_error=1e-8)
+                  oracle_l2_error=1e-9, oracle_spinor_error=2e-9, bch_state_error=1e-8)
     doc2 = rep2.json_dict()
     assert doc2["oracle_l2_error"] == 1e-9
+    assert doc2["oracle_spinor_error"] == 2e-9
     assert doc2["bch_state_error"] == 1e-8
     assert doc2["peak_separation_m"] is None
 
@@ -208,6 +216,7 @@ def test_run_only_computes_requested_outputs():
     rep = run(scaled_scenario(outputs=()))
     assert rep.density is None
     assert rep.oracle_l2_error is None
+    assert rep.oracle_spinor_error is None
     assert rep.bch_state_error is None
     assert rep.entropy_timeline is None
 
@@ -232,10 +241,51 @@ def test_silver_oracle_error_is_tiny():
     assert err <= 1e-9
 
 
+@pytest.mark.parametrize("steps", [8, 220])
+def test_silver_reference_is_exact_at_few_steps(steps):
+    # Each kinetic step runs in a frame at its mid-step kick, so the field
+    # does not alias even where half a step's kick exceeds the grid band
+    # (below ~220 steps here).  One step is the default, tested above.
+    err = oracle_density_error(silver_scenario(oracle_steps=steps))
+    assert err <= 1e-10
+
+
+def test_oracle_errors_come_from_one_split_step_run(monkeypatch):
+    calls = []
+    stepper = harness.split_step_evolve
+    monkeypatch.setattr(harness, "split_step_evolve",
+                        lambda *args: calls.append(args[2]) or stepper(*args))
+    sc = silver_scenario(segments=(GradientSegment(1000.0, 2e-5), GradientSegment(-500.0, 4e-5)),
+                         oracle_steps=9)
+    errs = oracle_density_error(sc, spinor=True)
+    assert isinstance(errs, OracleErrors)
+    assert calls == [3, 6]
+    assert errs.density <= 1e-10 and errs.spinor <= 1e-9
+    assert errs.density == oracle_density_error(sc)
+
+
+def test_spinor_error_sees_a_phase_the_density_misses(monkeypatch):
+    monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
+    errs = oracle_density_error(silver_scenario(), spinor=True)
+    assert errs.density <= 1e-10
+    assert errs.spinor > SPINOR_TOL
+
+
+def test_silver_screen_config_reference_matches():
+    # the magnet, then 1 m of free flight: the beams end 8.5 mm apart
+    sc = load_scenario(os.path.join(ROOT, "configs", "silver_screen.json"))
+    assert [seg.beta for seg in sc.segments] == [1000.0, 0.0]
+    rep = run(sc)
+    assert abs(rep.peak_separation_m - 8.471e-3) <= 1e-6
+    assert rep.oracle_l2_error <= 1e-9
+    assert rep.oracle_spinor_error <= 1e-7
+
+
 def test_run_compare_table_attaches_oracle_error():
     rep = run(scaled_scenario(outputs=("compare-table",), oracle_steps=512))
     assert rep.oracle_l2_error is not None
     assert rep.oracle_l2_error <= 1e-4
+    assert rep.oracle_spinor_error <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from sgsim import (Grid, SampledSpinor, SpinQN, dense_hamiltonian, free_evolve,
-                   from_gaussian, gaussian_hybrid, matrix_exponential, sample, sample_state,
-                   scaled_config, spinor_l2_distance, split_step_evolve)
+from sgsim import (Grid, SampledSpinor, SpinQN, default_silver_config, dense_hamiltonian,
+                   evolve, free_evolve, from_gaussian, gaussian_hybrid, matrix_exponential,
+                   sample, sample_state, scaled_config, spinor_l2_distance, split_step_evolve,
+                   strang_phase, u2c_phase)
+from sgsim.harness import SILVER_GRID
 
 
 def make_spinor(grid, packets, coeffs, frame_k=None):
@@ -117,7 +121,6 @@ def test_split_step_second_order_convergence():
     g = Grid(-16.0, 16.0, 512)
     spin = SpinQN(1)
     st0 = gaussian_hybrid(spin, np.array([1.0, 0.0]), cfg)
-    from sgsim import evolve
     st1 = evolve(st0, 1.0, cfg)
 
     errs = []
@@ -128,6 +131,33 @@ def test_split_step_second_order_convergence():
     ratio = errs[0] / errs[1]
     assert errs[1] < errs[0]
     assert 4.0 == pytest.approx(ratio, rel=0.2)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("twice_s", [1, 2])
+def test_strang_phase_is_the_whole_splitting_error_at_silver_scale(twice_s, steps):
+    # For a linear potential a Strang step is exact up to a global phase per
+    # component.  With that phase removed, even one step over the transit,
+    # whose kick spans ~220 times the grid's momentum band, matches the
+    # closed form phases included.
+    cfg = default_silver_config()
+    t, s = cfg.transit_time, SpinQN(twice_s)
+    st0 = gaussian_hybrid(s, np.ones(s.dim) / math.sqrt(s.dim), cfg)
+    out = split_step_evolve(sample_state(st0, SILVER_GRID), t, steps, cfg)
+    want = sample_state(evolve(st0, t, cfg), SILVER_GRID, frame_k=out.frame_k)
+    phase = strang_phase(s.m_values(), t, steps, cfg)
+    unphased = SampledSpinor(SILVER_GRID, s, out.components * np.exp(-1j * phase)[:, None],
+                             out.frame_k)
+    assert spinor_l2_distance(unphased, want) <= 1e-9
+    # the phase itself is thousands of radians
+    assert spinor_l2_distance(out, want) > 0.1
+
+
+def test_strang_phase_is_a_quarter_of_u2c_over_steps_squared():
+    cfg = default_silver_config()
+    m = SpinQN(3).m_values()
+    np.testing.assert_allclose(strang_phase(m, 2e-5, 7, cfg),
+                               -u2c_phase(m, 2e-5, cfg) / (4 * 7 * 7), rtol=1e-14)
 
 
 def test_dense_hamiltonian_structure():
