@@ -1,10 +1,12 @@
 """Command-line front end.
 
-    sge run <config.json> [--out DIR]     closed-form run, report + density CSV
-    sge compare <config.json>             closed form vs split-step L2 errors
-    sge entropy <config.json> --samples N entanglement entropy timeline (CSV)
-    sge interfere <config.json> --T SEC   +b/-b/+b recombination checks
-    sge bch-check [--n N] [--spin S]      factored propagator vs expm
+    sge run <config.json> [--out DIR]        closed-form run, report + density CSV
+    sge compare <config.json>                closed form vs split-step L2 errors
+    sge entropy <config.json> [--samples N]  entanglement entropy timeline (CSV)
+    sge interfere <config.json> --T SEC      +b/-b/+b recombination, reference errors
+    sge bch-check [--n N] [--spin S]         factored propagator vs expm
+
+Every gate and its tolerance comes from sgsim.harness.
 
 Exit codes: 0 all requested checks pass, 1 a tolerance check failed,
 2 invalid input.
@@ -22,9 +24,7 @@ import numpy as np
 
 from . import harness
 from .config import SpinQN
-from .harness import DENSITY_TOL, SPINOR_TOL
-
-BCH_TOL = 1e-6
+from .harness import BCH_TOL
 
 
 def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
@@ -44,8 +44,17 @@ def _print_report(rep: harness.Report) -> None:
     if rep.oracle_l2_error is not None:
         print(f"oracle_l2_error   {rep.oracle_l2_error:.6e}")
         print(f"oracle_spinor_error {rep.oracle_spinor_error:.6e}")
-    if rep.bch_state_error is not None:
-        print(f"bch_state_error   {rep.bch_state_error:.6e}")
+
+
+def _print_rows(rows: list[tuple[str, float, float]], line: str) -> int:
+    """Print (name, value, tolerance) rows with the format `line`, which may
+    also use {verdict}; exit code 0 if every row passes, else 1."""
+    ok = True
+    for name, value, tol in rows:
+        passed = value <= tol
+        ok = ok and passed
+        print(line.format(name=name, value=value, tol=tol, verdict="ok" if passed else "FAIL"))
+    return 0 if ok else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -65,18 +74,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             _write_csv(os.path.join(args.out, "entropy_timeline.csv"),
                        "t_s,entropy_nats", rep.entropy_timeline)
 
-    failed = (rep.oracle_l2_error is not None and rep.oracle_l2_error > DENSITY_TOL) or \
-             (rep.oracle_spinor_error is not None and rep.oracle_spinor_error > SPINOR_TOL) or \
-             (rep.bch_state_error is not None and rep.bch_state_error > BCH_TOL)
-    return 1 if failed else 0
+    return 0 if all(value <= tol for _, value, tol in rep.reference_rows()) else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    sc = harness.load_scenario(args.config)
-    err = harness.oracle_density_error(sc, spinor=True)
-    print(f"oracle_l2_error {err.density:.6e} (tolerance {args.tol:.1e})")
-    print(f"oracle_spinor_error {err.spinor:.6e} (tolerance {SPINOR_TOL:.1e})")
-    return 0 if err.density <= args.tol and err.spinor <= SPINOR_TOL else 1
+    errors = harness.oracle_density_error(harness.load_scenario(args.config))
+    return _print_rows(errors.rows(), "{name} {value:.6e} (tolerance {tol:.1e})")
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
@@ -89,13 +92,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_interfere(args: argparse.Namespace) -> int:
-    ok = True
-    for name, value, tol in harness.interferometer_check(harness.load_scenario(args.config),
-                                                         args.T):
-        passed = value <= tol
-        ok = ok and passed
-        print(f"{name:<15} {value:.3e} ({'ok' if passed else 'FAIL'}, tolerance {tol:.1e})")
-    return 0 if ok else 1
+    rows = harness.interferometer_check(harness.load_scenario(args.config), args.T)
+    return _print_rows(rows, "{name:<15} {value:.3e} ({verdict}, tolerance {tol:.1e})")
 
 
 def cmd_bch_check(args: argparse.Namespace) -> int:
@@ -103,10 +101,10 @@ def cmd_bch_check(args: argparse.Namespace) -> int:
     ok = True
     for spin in spins:
         check = harness.bch_check(spin, n=args.n)
-        passed = check.state_error <= args.tol
+        passed = check.state_error <= BCH_TOL
         ok = ok and passed
         print(f"spin {spin.twice_s}/2: state_error {check.state_error:.3e} "
-              f"({'ok' if passed else 'FAIL'}, tolerance {args.tol:.1e}); "
+              f"({'ok' if passed else 'FAIL'}, tolerance {BCH_TOL:.1e}); "
               f"raw operator_error {check.operator_error:.3e} "
               f"(periodic-seam artifact, not gated)")
     return 0 if ok else 1
@@ -124,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="closed form vs split-step density and spinor errors")
     p.add_argument("config")
-    p.add_argument("--tol", type=float, default=DENSITY_TOL)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("entropy", help="entanglement entropy timeline as CSV")
@@ -132,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=33)
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("interfere", help="gradient-flip recombination checks")
+    p = sub.add_parser("interfere", help="gradient-flip recombination and reference errors")
     p.add_argument("config")
     p.add_argument("--T", type=float, required=True,
                    help="first-leg duration in seconds (legs are T, 2T, T)")
@@ -141,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bch-check", help="factored propagator vs dense expm")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--spin", help="spin as 1/2, 1, 3/2, ... (default: both 1/2 and 1)")
-    p.add_argument("--tol", type=float, default=BCH_TOL)
     p.set_defaults(func=cmd_bch_check)
     return parser
 

@@ -105,6 +105,9 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.z_min, self.z_max, self.z_max - self.z_min))):
+            raise ValueError(f"grid bounds must be finite with a finite span z_max - z_min, "
+                             f"got [{self.z_min:g}, {self.z_max:g}]")
         if not self.z_max > self.z_min:
             raise ValueError("need z_max > z_min")
         if self.n < 2 or self.n & (self.n - 1):

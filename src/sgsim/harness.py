@@ -24,11 +24,11 @@ from .observables import (entanglement_entropy, peak_separation, position_densit
                           spin_rdm)
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      spinor_l2_distance, split_step_evolve, strang_phase)
-from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
-                         gaussian_hybrid, join_times, sample_state)
+from .propagator import (dense_factored_matrix, evolve, evolve_segments, gaussian_hybrid,
+                         join_times, sample_state)
 from .wavepacket import from_gaussian, moments, sample
 
-VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table", "bch-check")
+VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table")
 
 # Stock grid for silver-scale runs: the beams deflect ~7.3e-5 m, so a
 # +-6e-4 m window keeps them far from the periodic seam.
@@ -43,13 +43,17 @@ SILVER_ORACLE_STEPS = 1
 TIMELINE_SAMPLES_LIMIT = 4097
 # Parse-time caps: a (d, n) complex array is 128 MB at d = 8 (split-step keeps (d, steps) tables).
 GRID_N_LIMIT = ORACLE_STEPS_LIMIT = 1 << 20
+# Spin 7/2, d = 8, the dimension the two caps above are budgeted for.
+TWICE_S_LIMIT = 7
 
-# Gates of the gradient-flip interferometer check; DENSITY_TOL and
-# SPINOR_TOL also gate the reference errors of `sge run` and `sge compare`.
+# Gates, each passing at value <= tolerance.  DENSITY_TOL and SPINOR_TOL
+# gate the split-step reference errors, KICK_REL_TOL and ENTROPY_TOL the
+# gradient-flip interferometer, BCH_TOL the factored-vs-expm state error.
 DENSITY_TOL = 1e-4
 SPINOR_TOL = 1e-6
 KICK_REL_TOL = 1e-10
 ENTROPY_TOL = 1e-6
+BCH_TOL = 1e-6
 
 
 def default_silver_config() -> ExperimentConfig:
@@ -133,13 +137,11 @@ class Report:
     entropy_nats: float
     oracle_l2_error: float | None = None
     oracle_spinor_error: float | None = None
-    bch_state_error: float | None = None
     density: np.ndarray | None = None  # columns z, p(z)
     entropy_timeline: np.ndarray | None = None  # columns t, S
 
     def __post_init__(self) -> None:
-        optional = (self.peak_separation_m, self.oracle_l2_error, self.oracle_spinor_error,
-                    self.bch_state_error)
+        optional = (self.peak_separation_m, self.oracle_l2_error, self.oracle_spinor_error)
         scalars = [self.transit_time_s, self.entropy_nats, *self.deflection_m.values(),
                    *(x for x in optional if x is not None)]
         if not all(math.isfinite(x) for x in scalars):
@@ -148,10 +150,15 @@ class Report:
     def json_dict(self) -> dict:
         doc = {k: getattr(self, k) for k in
                ("transit_time_s", "deflection_m", "peak_separation_m", "entropy_nats")}
-        doc.update((k, getattr(self, k)) for k in
-                   ("oracle_l2_error", "oracle_spinor_error", "bch_state_error")
+        doc.update((k, getattr(self, k)) for k in ("oracle_l2_error", "oracle_spinor_error")
                    if getattr(self, k) is not None)
         return doc
+
+    def reference_rows(self) -> list[tuple[str, float, float]]:
+        """The reference errors as OracleErrors.rows(); none without compare-table."""
+        if self.oracle_l2_error is None:
+            return []
+        return OracleErrors(self.oracle_l2_error, self.oracle_spinor_error).rows()
 
 
 class OracleErrors(NamedTuple):
@@ -163,36 +170,29 @@ class OracleErrors(NamedTuple):
     density: float
     spinor: float
 
-
-def _oracle_schedule(sc: Scenario) -> list[tuple[GradientSegment, int]]:
-    """(segment, steps) for each segment the split-step reference runs: the
-    step budget spread in proportion to duration, at least one a segment."""
-    total = sc.total_duration
-    return [(seg, max(1, round(sc.oracle_steps * seg.duration / total)))
-            for seg in sc.segments if seg.duration != 0]
+    def rows(self) -> list[tuple[str, float, float]]:
+        """(name, value, tolerance) gate rows, as interferometer_check returns."""
+        return [("oracle_l2_error", self.density, DENSITY_TOL),
+                ("oracle_spinor_error", self.spinor, SPINOR_TOL)]
 
 
-def _oracle_final_state(sc: Scenario, st0: HybridState) -> SampledSpinor:
-    """Split-step the initial state through the schedule."""
-    psi = sample_state(st0, sc.grid)
-    for seg, steps in _oracle_schedule(sc):
-        psi = split_step_evolve(psi, seg.duration, steps, sc.cfg.with_beta(seg.beta))
-    return psi
-
-
-def oracle_density_error(sc: Scenario, spinor: bool = False) -> float | OracleErrors:
-    """Relative L2 distance between closed-form and split-step densities;
-    with spinor=True, OracleErrors of the same split-step run."""
+def oracle_density_error(sc: Scenario) -> OracleErrors:
+    """Closed form against one split-step run of the schedule.  The step
+    budget is spread over the segments in proportion to duration, at least
+    one a segment, and each segment's Strang phase is removed from the
+    split-step spinor before the spinors are compared."""
     st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     st = evolve_segments(st0, list(sc.segments), sc.cfg)
     rho_exact = position_density_z(st, sc.grid).values
-    psi = _oracle_final_state(sc, st0)
+    psi, m, phase = sample_state(st0, sc.grid), sc.spin.m_values(), np.zeros(sc.spin.dim)
+    for seg in sc.segments:
+        if seg.duration == 0:
+            continue
+        steps = max(1, round(sc.oracle_steps * seg.duration / sc.total_duration))
+        cfg = sc.cfg.with_beta(seg.beta)
+        psi = split_step_evolve(psi, seg.duration, steps, cfg)
+        phase += strang_phase(m, seg.duration, steps, cfg)
     density = float(np.linalg.norm(psi.density() - rho_exact) / np.linalg.norm(rho_exact))
-    if not spinor:
-        return density
-    m, phase = sc.spin.m_values(), np.zeros(sc.spin.dim)
-    for seg, steps in _oracle_schedule(sc):
-        phase += strang_phase(m, seg.duration, steps, sc.cfg.with_beta(seg.beta))
     unphased = SampledSpinor(sc.grid, sc.spin, psi.components * np.exp(-1j * phase)[:, None],
                              psi.frame_k)
     exact = sample_state(st, sc.grid, frame_k=psi.frame_k)
@@ -212,15 +212,11 @@ def run(sc: Scenario) -> Report:
 
     oracle_err = oracle_spinor = None
     if "compare-table" in sc.outputs:
-        oracle_err, oracle_spinor = oracle_density_error(sc, spinor=True)
+        oracle_err, oracle_spinor = oracle_density_error(sc)
 
     timeline = None
     if "entropy-timeline" in sc.outputs:
         timeline = entropy_timeline(sc, samples=33)
-
-    bch_err = None
-    if "bch-check" in sc.outputs:
-        bch_err = bch_check(sc.spin).state_error
 
     density = None
     if "density" in sc.outputs:
@@ -233,7 +229,6 @@ def run(sc: Scenario) -> Report:
         entropy_nats=entropy,
         oracle_l2_error=oracle_err,
         oracle_spinor_error=oracle_spinor,
-        bch_state_error=bch_err,
         density=density,
         entropy_timeline=timeline,
     )
@@ -272,8 +267,8 @@ def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float
     legs T, 2T, T, which should leave the beams recombined.  Returns rows
     (name, value, tolerance), each passing at value <= tolerance: the
     largest net momentum kick of any component relative to the first leg's
-    kick on the outermost one, the final entanglement entropy, and the
-    closed form vs split-step density error.
+    kick on the outermost one, the final entanglement entropy, and the two
+    split-step reference errors of OracleErrors.rows().
     """
     cfg = sc.cfg
     sc = dataclasses.replace(sc, segments=interferometer_segments(cfg.beta, T))
@@ -286,7 +281,7 @@ def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float
     kick = np.abs(moments(st.z, cfg.hbar).mean_momentum - moments(st0.z, cfg.hbar).mean_momentum)
     return [("net_kick_rel", float(kick.max()) / kick_scale, KICK_REL_TOL),
             ("entropy_nats", entanglement_entropy(spin_rdm(st)), ENTROPY_TOL),
-            ("oracle_l2_error", oracle_density_error(sc), DENSITY_TOL)]
+            *oracle_density_error(sc).rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +304,10 @@ class BCHCheck(NamedTuple):
     operator_error: float
 
 
-def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
-              window: float = 16.0) -> BCHCheck:
+def bch_check(spin: SpinQN, n: int = 64) -> BCHCheck:
     """Compare the factored propagator with the brute-force exponential of
-    the same discrete Hamiltonian, in order-one scaled units.
+    the same discrete Hamiltonian, in order-one scaled units: t = 0.7 on
+    n points over [-16, 16].
 
     Both operators are block diagonal in m, so both are built, and compared,
     as (2s+1, n, n) stacks of their blocks: operator_error is the largest
@@ -322,7 +317,7 @@ def bch_check(spin: SpinQN, n: int = 64, t: float = 0.7,
     if spin.dim * n * n > EXPM_SIZE_LIMIT**2:
         raise ValueError(f"dense check capped at (2s+1) n^2 = {EXPM_SIZE_LIMIT**2} entries, "
                          f"got {spin.dim * n * n}")
-    grid = Grid(z_min=-window, z_max=window, n=n)
+    grid, t = Grid(z_min=-16.0, z_max=16.0, n=n), 0.7
     cfg = scaled_config()
     u_fact = dense_factored_matrix(grid, t, cfg, spin)
     h = dense_hamiltonian(grid, cfg, spin)
@@ -440,7 +435,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             cfg_kwargs[field] = _parse_float(doc[key], key)
     cfg = ExperimentConfig(**cfg_kwargs)
 
-    spin = SpinQN(_parse_int(doc["twice_s"], "twice_s"))
+    spin = SpinQN(_parse_int(doc["twice_s"], "twice_s", TWICE_S_LIMIT))
     coeffs = np.array([_parse_coeff(v, f"coeffs[{i}]")
                        for i, v in enumerate(_require_list(doc["coeffs"], "coeffs"))])
     nrm = np.linalg.norm(coeffs)

@@ -99,7 +99,7 @@ def check_boundary_leak(components: np.ndarray, s: SpinQN, when: str) -> None:
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"component m={s.m_values()[i]:+g} touches the grid boundary {when} "
+            f"component m={s.label(s.m_values()[i])} touches the grid boundary {when} "
             f"(edge/peak = {edge[i] / peak[i]:.2e}); enlarge the window")
 
 

@@ -319,7 +319,7 @@ def test_criterion_09_interferometer_recombination():
 
     sc = Scenario(cfg=cfg, spin=HALF, initial_coeffs=EQUAL_HALF,
                   segments=segments, grid=SILVER_GRID, outputs=())
-    oracle_err = oracle_density_error(sc)
+    oracle_err = oracle_density_error(sc).density
 
     check(9, kick_rel <= 1e-10 and entropy <= 1e-6 and oracle_err <= 1e-4,
           f"net kick rel {kick_rel:.1e} (tol 1e-10); final entropy "

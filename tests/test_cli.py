@@ -4,6 +4,8 @@ CSV formats, and the check subcommands.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import warnings
 
 import pytest
 
-from sgsim import harness
+from sgsim import cli, harness
 from sgsim.cli import main
 
 from helpers import evolve_segments_b0_off
@@ -133,10 +135,24 @@ def test_spinor_error_gates_run_and_compare(tmp_path, capsys, monkeypatch, comma
     assert density <= 1e-10 and spinor > 1e-6
 
 
-def test_compare_fails_when_tolerance_is_unreachable(tmp_path, capsys):
-    code = main(["compare", write_doc(tmp_path, SCALED_DOC), "--tol", "1e-30"])
-    capsys.readouterr()
+def test_compare_fails_on_a_density_error_above_the_gate(tmp_path, capsys, monkeypatch):
+    # a closed form with the mass off by 1% deflects the beams 1% short
+    evolve_segments = harness.evolve_segments
+    monkeypatch.setattr(harness, "evolve_segments", lambda st, segments, cfg: evolve_segments(
+        st, segments, dataclasses.replace(cfg, mass=cfg.mass * 1.01)))
+    code = main(["compare", write_doc(tmp_path, SCALED_DOC)])
+    out = capsys.readouterr().out
     assert code == 1
+    density = re.search(r"^oracle_l2_error (\S+) \(tolerance 1.0e-04\)$", out, re.M).group(1)
+    assert float(density) > harness.DENSITY_TOL
+
+
+@pytest.mark.parametrize("argv", [["compare", "case.json"], ["bch-check"]])
+def test_tolerance_option_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +188,20 @@ def test_interfere_recombination_checks_pass(tmp_path, capsys):
     code = main(["interfere", write_doc(tmp_path, SCALED_DOC), "--T", "0.5"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("ok") == 3
+    assert out.count("ok") == 4
     assert "FAIL" not in out
     assert "net_kick_rel" in out
     assert "entropy_nats" in out
     assert "oracle_l2_error" in out
+    assert "oracle_spinor_error" in out
+
+
+def test_interfere_fails_on_a_phase_the_density_misses(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
+    code = main(["interfere", write_doc(tmp_path, SILVER_DOC), "--T", "1.3e-5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split()[0] for line in out if "FAIL" in line] == ["oracle_spinor_error"]
 
 
 @pytest.mark.parametrize("beta, T", [(0.0, "0.5"), (0.5, "0")])
@@ -304,6 +329,23 @@ def test_huge_integer_key_exits_2_naming_the_key(tmp_path, capsys, key, doc):
     assert f"{key} must be <= {1 << 20}" in err
 
 
+def test_bch_check_output_is_gone(tmp_path, capsys):
+    code = main(["run", write_doc(tmp_path, {**SILVER_DOC, "outputs": ["bch-check"]})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown output 'bch-check'" in err
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 6e-4), (-6e-4, math.nan), (-1e308, 1e308)])
+def test_non_finite_grid_bounds_exit_2(tmp_path, capsys, bounds):
+    doc = {**SILVER_DOC, "grid": {"z_min_m": bounds[0], "z_max_m": bounds[1]}}
+    code = main(["run", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "grid bounds must be finite with a finite span" in err
+    assert "outside the density window" not in err
+
+
 def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_path, capsys):
     # the stock magnet, then 1 m of free flight at 660 m/s: both beams leave
     # the stock +-6e-4 m window
@@ -340,3 +382,36 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# help text
+# ---------------------------------------------------------------------------
+
+
+def test_module_usage_lists_exactly_the_parser_commands_and_options():
+    # one "sge <command> ..." line per subcommand; an option is in brackets
+    # exactly when it is not required, and <...> marks a positional argument
+    usage = {}
+    for line in cli.__doc__.splitlines():
+        if line.strip().startswith("sge "):
+            _, command, *args = re.split(r"\s{2,}", line.strip())[0].split()
+            usage[command] = " ".join(args)
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(usage) == set(sub.choices)
+    for command, subparser in sub.choices.items():
+        text = usage[command]
+        options = {opt: (f"[{opt} " in text) for opt in re.findall(r"--[\w-]+", text)}
+        positionals = re.findall(r"<(\w+)[^>]*>", text)
+        want_options, want_positionals = {}, []
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.option_strings:
+                [opt] = action.option_strings
+                want_options[opt] = not action.required
+            else:
+                want_positionals.append(action.dest)
+        assert options == want_options, command
+        assert positionals == want_positionals, command

@@ -35,8 +35,8 @@ from sgsim import (
     scaled_config,
     scenario_from_dict,
 )
-from sgsim.harness import (GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER_GRID, SILVER_ORACLE_STEPS,
-                           SPINOR_TOL)
+from sgsim.harness import (DENSITY_TOL, GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER_GRID,
+                           SILVER_ORACLE_STEPS, SPINOR_TOL, TWICE_S_LIMIT)
 
 from helpers import evolve_segments_b0_off
 
@@ -123,8 +123,21 @@ def test_interferometer_segments_shape():
 def test_interferometer_check_recombines_the_beams():
     rows = interferometer_check(scaled_scenario(oracle_steps=256), 0.5)
     assert [name for name, _, _ in rows] == ["net_kick_rel", "entropy_nats",
-                                             "oracle_l2_error"]
+                                             "oracle_l2_error", "oracle_spinor_error"]
     assert all(value <= tol for _, value, tol in rows), rows
+
+
+def test_interferometer_check_gates_the_phases_the_density_misses(monkeypatch):
+    # a closed form whose only error is its Larmor phases: every row but the
+    # spinor one passes
+    monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
+    sc = silver_scenario()
+    rows = {name: (value, tol) for name, value, tol in
+            interferometer_check(sc, sc.cfg.transit_time / 4)}
+    spinor, tol = rows.pop("oracle_spinor_error")
+    assert tol == SPINOR_TOL and spinor > tol
+    assert rows["oracle_l2_error"] == (pytest.approx(0.0, abs=1e-10), DENSITY_TOL)
+    assert all(value <= tol for value, tol in rows.values()), rows
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +193,18 @@ def test_report_json_dict_keys():
     doc = rep.json_dict()
     assert set(doc) == {"transit_time_s", "deflection_m",
                         "peak_separation_m", "entropy_nats"}
+    assert rep.reference_rows() == []
     rep2 = Report(transit_time_s=1.0, deflection_m={"+1/2": 0.1},
                   peak_separation_m=None, entropy_nats=0.5,
-                  oracle_l2_error=1e-9, oracle_spinor_error=2e-9, bch_state_error=1e-8)
+                  oracle_l2_error=1e-9, oracle_spinor_error=2e-9)
     doc2 = rep2.json_dict()
+    assert set(doc2) == {"transit_time_s", "deflection_m", "peak_separation_m",
+                         "entropy_nats", "oracle_l2_error", "oracle_spinor_error"}
     assert doc2["oracle_l2_error"] == 1e-9
     assert doc2["oracle_spinor_error"] == 2e-9
-    assert doc2["bch_state_error"] == 1e-8
     assert doc2["peak_separation_m"] is None
+    assert rep2.reference_rows() == [("oracle_l2_error", 1e-9, DENSITY_TOL),
+                                     ("oracle_spinor_error", 2e-9, SPINOR_TOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +234,6 @@ def test_run_only_computes_requested_outputs():
     assert rep.density is None
     assert rep.oracle_l2_error is None
     assert rep.oracle_spinor_error is None
-    assert rep.bch_state_error is None
     assert rep.entropy_timeline is None
 
 
@@ -238,7 +254,7 @@ def test_run_is_deterministic():
 
 def test_silver_oracle_error_is_tiny():
     err = oracle_density_error(silver_scenario())
-    assert err <= 1e-9
+    assert err.density <= 1e-9
 
 
 @pytest.mark.parametrize("steps", [8, 220])
@@ -247,7 +263,7 @@ def test_silver_reference_is_exact_at_few_steps(steps):
     # does not alias even where half a step's kick exceeds the grid band
     # (below ~220 steps here).  One step is the default, tested above.
     err = oracle_density_error(silver_scenario(oracle_steps=steps))
-    assert err <= 1e-10
+    assert err.density <= 1e-10
 
 
 def test_oracle_errors_come_from_one_split_step_run(monkeypatch):
@@ -257,16 +273,17 @@ def test_oracle_errors_come_from_one_split_step_run(monkeypatch):
                         lambda *args: calls.append(args[2]) or stepper(*args))
     sc = silver_scenario(segments=(GradientSegment(1000.0, 2e-5), GradientSegment(-500.0, 4e-5)),
                          oracle_steps=9)
-    errs = oracle_density_error(sc, spinor=True)
+    errs = oracle_density_error(sc)
     assert isinstance(errs, OracleErrors)
     assert calls == [3, 6]
     assert errs.density <= 1e-10 and errs.spinor <= 1e-9
-    assert errs.density == oracle_density_error(sc)
+    assert errs == oracle_density_error(sc)
+    assert calls == [3, 6, 3, 6]
 
 
 def test_spinor_error_sees_a_phase_the_density_misses(monkeypatch):
     monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
-    errs = oracle_density_error(silver_scenario(), spinor=True)
+    errs = oracle_density_error(silver_scenario())
     assert errs.density <= 1e-10
     assert errs.spinor > SPINOR_TOL
 
@@ -490,6 +507,20 @@ def test_scenario_from_dict_caps_integer_keys_before_allocating(key, cap, huge):
     assert peak < 1 << 20
     sc = scenario_from_dict(_doc_with(key, cap))  # parsing allocates nothing
     assert (sc.grid.n if key == "grid.n" else sc.oracle_steps) == cap
+
+
+def test_scenario_from_dict_caps_twice_s_before_allocating():
+    doc = {"twice_s": 1023, "coeffs": [1] * 1024, "outputs": ["density", "entropy-timeline"]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"twice_s must be <= {TWICE_S_LIMIT}")):
+            scenario_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    sc = scenario_from_dict({"twice_s": TWICE_S_LIMIT, "coeffs": [1] * (TWICE_S_LIMIT + 1)})
+    assert sc.spin.dim == 8
 
 
 def test_scenario_from_dict_accepts_integral_floats():

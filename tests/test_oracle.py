@@ -76,7 +76,11 @@ def test_split_step_argument_validation():
 def test_split_step_flags_boundary_leak():
     g = Grid(-12.0, 12.0, 256)
     psi = make_spinor(g, [from_gaussian(1.0, z0=-11.5)], np.array([1.0]))
-    with pytest.raises(ValueError, match="touches the grid boundary"):
+    with pytest.raises(ValueError, match="component m=0 touches the grid boundary"):
+        split_step_evolve(psi, 0.5, 4, scaled_config(b0=0.0, beta=0.0))
+    # m is named with SpinQN.label, as the density window error names it
+    psi = make_spinor(g, [from_gaussian(1.0), from_gaussian(1.0, z0=-11.5)], np.array([0.6, 0.8]))
+    with pytest.raises(ValueError, match="component m=-1/2 touches the grid boundary"):
         split_step_evolve(psi, 0.5, 4, scaled_config(b0=0.0, beta=0.0))
 
 
