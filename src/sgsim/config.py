@@ -87,7 +87,7 @@ class GradientSegment:
 
     def __post_init__(self) -> None:
         if not (self.duration >= 0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
 

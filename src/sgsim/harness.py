@@ -270,6 +270,8 @@ def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float
     kick on the outermost one, the final entanglement entropy, and the two
     split-step reference errors of OracleErrors.rows().
     """
+    if not (T >= 0 and math.isfinite(2 * T)):
+        raise ValueError(f"interferometer leg T must be finite and >= 0 with 2T finite, got {T}")
     cfg = sc.cfg
     sc = dataclasses.replace(sc, segments=interferometer_segments(cfg.beta, T))
     kick_scale = abs(cfg.hbar * cfg.gamma * cfg.beta * T) * max(sc.spin.s, 0.5)

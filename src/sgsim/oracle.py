@@ -3,9 +3,11 @@
 Two independent discretizations of the same Hamiltonian
 H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
 
-* split_step_evolve: Strang-split Fourier time stepping of all non-zero
-  spin components at once, as one (d, n) array with one batched FFT per
-  half step (H is diagonal in m, so components never mix);
+* split_step_evolve: Strang-split Fourier time stepping of the non-zero
+  spin components in two batched groups, with one batched FFT per half
+  step (H is diagonal in m, so components never mix).  `steps` counts the
+  steps of each component that feels a force; a force-free one (m = 0,
+  or any m while beta = 0) evolves exactly in one step, so it takes one;
 * dense_hamiltonian + matrix_exponential: the matrix propagator for
   desk-size grids, by exact eigendecomposition.  H commutes with S_z, so
   it is kept as the (d, n, n) stack of its blocks, one per m, and all d
@@ -119,8 +121,13 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     """Strang splitting exp(-iV tau/2) exp(-iT tau) exp(-iV tau/2) per step.
 
     The linear potential is exponentiated exactly and norms are conserved
-    to rounding.  All non-zero components are stepped together as one
-    (d_live, n) array; all-zero ones are skipped and keep their frame.
+    to rounding.  `steps` counts the steps of each component that feels a
+    force (gamma beta m != 0); those are stepped together as one array.  A
+    force-free component (m = 0, or any m while beta = 0) sees a constant
+    potential that commutes with the kinetic term, so it takes one step of
+    length t, which is exact; the force-free rows go through the same
+    batched kernel as a second group.  All-zero components are skipped and
+    keep their frame.
 
     Per component H = p^2/2M - F_m z plus a constant, F_m = hbar gamma beta m.
     Of the tau^3 terms of a Strang step, [T, [T, V]] ~ [p^2, p] is 0 and
@@ -128,7 +135,8 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     (the structure behind the exact factorization in sgsim.propagator).  So
     each step is exact up to a global phase per component, and `steps`
     steps over t carry the extra phase strang_phase(m, t, steps, cfg); one
-    step is as good as many, as long as the grid resolves the state.
+    step is as good as many, as long as the grid resolves the state.  The
+    phase is 0 for a force-free component at any step count.
 
     Mid-step frame: kinetic step j runs in the frame frame_k + dk p_j, with
     dk = 2 pi / L the grid wavenumber spacing and p_j = round((j + 1/2)
@@ -153,66 +161,77 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
         return SampledSpinor(psi.grid, psi.s, psi.components.copy(), psi.frame_k.copy())
     check_boundary_leak(psi.components, psi.s, "at the start")
 
-    grid = psi.grid
+    out = psi.components.copy()
+    frame = psi.frame_k.copy()
+    m = psi.s.m_values()
+    live = psi.components.any(axis=1)
+    forced = cfg.gamma * cfg.beta * m != 0
+    for group, group_steps in ((live & forced, steps), (live & ~forced, 1)):
+        if group.any():
+            out[group], frame[group] = _strang_steps(
+                out[group], frame[group], m[group], psi.grid, t, group_steps, cfg)
+    check_boundary_leak(out, psi.s, "at the end")
+    return SampledSpinor(psi.grid, psi.s, out, frame)
+
+
+def _strang_steps(phi: np.ndarray, frame: np.ndarray, m: np.ndarray, grid: Grid,
+                  t: float, steps: int, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The batched kernel of split_step_evolve: `steps` mid-step-frame Strang
+    steps over t of the rows phi (rows, n), stored in frames `frame`, for
+    quantum numbers m.  Overwrites phi and returns it with the new frames.
+    """
     n, half = grid.n, grid.n // 2
     z = grid.z
     dk = 2.0 * np.pi / grid.length
     tau = t / steps
-    out = psi.components.copy()
-    frame = psi.frame_k.copy()
-    live = np.flatnonzero(psi.components.any(axis=1))
-    m = psi.s.m_values()[live]
+    rows = m.size
     kick = cfg.gamma * cfg.beta * m * tau  # frame advance per step
     larmor = cfg.gamma * cfg.b0 * m * tau
     p = np.rint(np.outer(kick / dk, np.arange(steps) + 0.5)).astype(np.int64)
     p_end = np.rint(kick / dk * steps).astype(np.int64)
     inc = np.diff(p, axis=1)
     # a single step has no increments, and no merged multipliers
-    r = inc.min(axis=1) if steps > 1 else np.zeros(live.size, dtype=np.int64)
+    r = inc.min(axis=1) if steps > 1 else np.zeros(rows, dtype=np.int64)
     # steps per kinetic table, so that (block - 1) * reach <= n
     reach = np.abs(inc).max(axis=1, initial=0)
     block = np.where(reach == 0, steps, 1 + n // np.maximum(reach, 1))
 
     def potential(c: int, share: float, regauge: int) -> np.ndarray:
         """Field phase of `share` of a step, exp(i share gamma (B0 + beta z)
-        m tau), times the regauge exp(-i dk regauge z), for live component c."""
+        m tau), times the regauge exp(-i dk regauge z), for row c."""
         return np.exp(1j * (share * larmor[c] + (share * kick[c] - dk * regauge) * z))
 
     merged = [(potential(c, 1.0, r[c]), potential(c, 1.0, r[c] + 1))
-              for c in range(live.size)] if steps > 1 else []
-    phi = psi.components[live]
-    for c in range(live.size):
+              for c in range(rows)] if steps > 1 else []
+    for c in range(rows):
         phi[c] *= potential(c, 0.5, p[c, 0])
     phik = np.empty_like(phi)
-    tables, lows = [None] * live.size, [0] * live.size
+    tables, lows = [None] * rows, [0] * rows
     # tables fill buffers made once: fresh 2n-entry temporaries cost page faults
-    work, store = np.empty(2 * n), np.empty((live.size, 2 * n), dtype=complex)
+    work, store = np.empty(2 * n), np.empty((rows, 2 * n), dtype=complex)
     for j in range(steps):
         np.fft.fft(phi, axis=-1, out=phik)
-        for c in range(live.size):
+        for c in range(rows):
             if j % block[c] == 0:
                 ends = p[c, j], p[c, min(j + block[c], steps) - 1]
                 lows[c] = min(ends) - half
                 w = work[:max(ends) + half - lows[c]]
                 np.multiply(dk, np.arange(lows[c], max(ends) + half), out=w)
-                w += frame[live[c]]
-                tables[c] = t = np.multiply(-1j * cfg.hbar, np.square(w, out=w),
-                                            out=store[c, :w.size])
-                np.exp(np.divide(np.multiply(t, tau, out=t), 2.0 * cfg.mass, out=t), out=t)
+                w += frame[c]
+                tables[c] = tab = np.multiply(-1j * cfg.hbar, np.square(w, out=w),
+                                              out=store[c, :w.size])
+                np.exp(np.divide(np.multiply(tab, tau, out=tab), 2.0 * cfg.mass, out=tab),
+                       out=tab)
             at = p[c, j] - lows[c]
             phik[c, :half] *= tables[c][at:at + half]
             phik[c, half:] *= tables[c][at - half:at]
         np.fft.ifft(phik, axis=-1, out=phi)
         if j < steps - 1:
-            for c in range(live.size):
+            for c in range(rows):
                 phi[c] *= merged[c][inc[c, j] - r[c]]
-    for c in range(live.size):
+    for c in range(rows):
         phi[c] *= potential(c, 0.5, p_end[c] - p[c, -1])
-
-    out[live] = phi
-    frame[live] += dk * p_end
-    check_boundary_leak(out, psi.s, "at the end")
-    return SampledSpinor(grid, psi.s, out, frame)
+    return phi, frame + dk * p_end
 
 
 def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarray:

@@ -213,6 +213,14 @@ def test_interfere_without_beam_split_exits_2(tmp_path, capsys, beta, T):
     assert "no beam split" in err
 
 
+@pytest.mark.parametrize("T", ["1e308", "inf", "nan", "-1e-5"])
+def test_interfere_bad_leg_duration_exits_2_naming_T(tmp_path, capsys, T):
+    code = main(["interfere", write_doc(tmp_path, SCALED_DOC), f"--T={T}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "leg T must be finite and >= 0" in err
+
+
 def test_interfere_requires_leg_duration(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["interfere", write_doc(tmp_path, SCALED_DOC)])

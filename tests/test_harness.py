@@ -127,6 +127,27 @@ def test_interferometer_check_recombines_the_beams():
     assert all(value <= tol for _, value, tol in rows), rows
 
 
+@pytest.mark.parametrize("T", [1e308, math.inf, math.nan, -1e-5, -math.inf])
+def test_interferometer_check_rejects_a_bad_leg_duration(T):
+    # 1e308 is finite, but its middle leg 2T overflows
+    with pytest.raises(ValueError, match=r"leg T must be finite and >= 0 with 2T finite"):
+        interferometer_check(scaled_scenario(), T)
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0])
+def test_segment_duration_must_be_finite_and_non_negative(duration):
+    with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+        GradientSegment(1.0, duration)
+
+
+def test_scenario_from_dict_rejects_an_infinite_segment_duration(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"twice_s": 1, "coeffs": [1, 0], '
+                    '"segments": [{"beta_tesla_per_m": 1.0, "duration_s": Infinity}]}')
+    with pytest.raises(ValueError, match="duration must be finite and >= 0, got inf"):
+        load_scenario(str(path))
+
+
 def test_interferometer_check_gates_the_phases_the_density_misses(monkeypatch):
     # a closed form whose only error is its Larmor phases: every row but the
     # spinor one passes

@@ -19,6 +19,7 @@ from sgsim import (GradientSegment, Grid, SampledSpinor, Scenario, SpinQN, boost
                    oracle_density_error, sample, sample_state, scaled_config,
                    spinor_l2_distance, split_step_evolve)
 from sgsim.harness import SILVER_GRID
+from sgsim.oracle import _strang_steps
 
 from helpers import loop_split_step_evolve
 
@@ -27,14 +28,15 @@ SCALED_GRID = Grid(-16.0, 16.0, 256)
 ZERO_COMPONENT = {1: None, 2: 0, 3: 2}
 
 
-def random_spinor(twice_s: int, seed: int) -> SampledSpinor:
-    """Random packets and coefficients, stored in a random nonzero frame."""
+def random_spinor(twice_s: int, seed: int, all_live: bool = False) -> SampledSpinor:
+    """Random packets and coefficients, stored in a random nonzero frame;
+    unless all_live, the component ZERO_COMPONENT names is all zero."""
     rng = np.random.default_rng(seed)
     s = SpinQN(twice_s)
     frame_k = rng.uniform(0.5, 4.0, s.dim) * rng.choice([-1.0, 1.0], s.dim)
     coeffs = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
     zero = ZERO_COMPONENT[twice_s]
-    if zero is not None:
+    if zero is not None and not all_live:
         coeffs[zero] = 0.0
     coeffs /= np.linalg.norm(coeffs)
     comps = np.array([
@@ -75,11 +77,9 @@ def test_batched_matches_loop_at_silver_scale():
     assert_frames_close(got, want)
 
 
-def test_two_segment_schedule_carries_the_frame(monkeypatch):
-    sc = Scenario(cfg=scaled_config(), spin=SpinQN(2),
-                  initial_coeffs=np.array([0.6, 0.0, 0.8j]),
-                  segments=(GradientSegment(0.5, 0.4), GradientSegment(-0.3, 0.6)),
-                  grid=SCALED_GRID, oracle_steps=64, outputs=())
+def run_schedule_both_ways(sc: Scenario, monkeypatch) -> tuple:
+    """oracle_density_error of sc with the batched solver and with the loop;
+    returns both final spinors and both errors."""
     states = []
 
     def recording(stepper):
@@ -90,7 +90,88 @@ def test_two_segment_schedule_carries_the_frame(monkeypatch):
     monkeypatch.setattr(harness, "split_step_evolve", recording(loop_split_step_evolve))
     want_err = oracle_density_error(sc)
     assert len(states) == 4
-    got, want = states[1], states[3]  # the final state of each run
+    return states[1], states[3], got_err, want_err  # the final state of each run
+
+
+def test_two_segment_schedule_carries_the_frame(monkeypatch):
+    sc = Scenario(cfg=scaled_config(), spin=SpinQN(2),
+                  initial_coeffs=np.array([0.6, 0.0, 0.8j]),
+                  segments=(GradientSegment(0.5, 0.4), GradientSegment(-0.3, 0.6)),
+                  grid=SCALED_GRID, oracle_steps=64, outputs=())
+    got, want, got_err, want_err = run_schedule_both_ways(sc, monkeypatch)
     assert spinor_l2_distance(got, want) <= 1e-12
     assert_frames_close(got, want, calls=2)
     assert got_err.density <= 1e-12 and want_err.density <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Force-free rows (gamma beta m = 0) take one step whatever the budget.
+
+def count_fft_rows(monkeypatch) -> list:
+    """Rows passed to each forward FFT from now on, one entry per call."""
+    rows, fft = [], np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        rows.append(len(a) if np.ndim(a) == 2 else 1)
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return rows
+
+
+@pytest.mark.parametrize("steps", [1, 4, 64])
+def test_only_force_carrying_rows_take_every_step(monkeypatch, steps):
+    # spin 1: m = +1 and -1 take the steps, m = 0 takes one
+    psi = random_spinor(2, seed=steps, all_live=True)
+    rows = count_fft_rows(monkeypatch)
+    split_step_evolve(psi, 1.0, steps, scaled_config())
+    assert sum(rows) == 2 * steps + 1
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 3])
+def test_a_force_free_call_transforms_each_live_row_once(monkeypatch, twice_s):
+    psi = random_spinor(twice_s, seed=5)
+    rows = count_fft_rows(monkeypatch)
+    split_step_evolve(psi, 1.0, 64, scaled_config(beta=0.0))
+    assert sum(rows) == int(psi.components.any(axis=1).sum())
+
+
+@pytest.mark.parametrize("twice_s, beta", [(2, 0.5), (2, 0.0), (3, 0.0)])
+def test_collapsed_rows_match_the_loop(twice_s, beta):
+    # every component live, m = 0 included; the loop takes every step on every row
+    psi = random_spinor(twice_s, seed=7 * twice_s, all_live=True)
+    cfg = scaled_config(beta=beta)
+    got = split_step_evolve(psi, 1.0, 64, cfg)
+    want = loop_split_step_evolve(psi, 1.0, 64, cfg)
+    assert spinor_l2_distance(got, want) <= 1e-12
+    assert_frames_close(got, want)
+
+
+def test_a_drift_segment_matches_the_loop(monkeypatch):
+    sc = Scenario(cfg=scaled_config(), spin=SpinQN(2),
+                  initial_coeffs=np.array([0.6, 0.48, 0.64j]),
+                  segments=(GradientSegment(0.5, 0.4), GradientSegment(0.0, 0.6)),
+                  grid=SCALED_GRID, oracle_steps=64, outputs=())
+    got, want, got_err, want_err = run_schedule_both_ways(sc, monkeypatch)
+    assert spinor_l2_distance(got, want) <= 1e-12
+    assert_frames_close(got, want, calls=2)
+    assert got_err.density <= 1e-12 and want_err.density <= 1e-12
+    assert got_err.spinor <= 1e-12
+
+
+@pytest.mark.parametrize("twice_s, beta", [(2, 0.5), (2, 0.0), (3, 0.0)])
+def test_many_steps_of_a_force_free_row_equal_one(twice_s, beta):
+    """The collapse is exact: N Strang steps of a row with a constant
+    potential equal one step of the whole length, to rounding."""
+    psi = random_spinor(twice_s, seed=11, all_live=True)
+    cfg = scaled_config(beta=beta)
+    m = psi.s.m_values()
+    free = cfg.gamma * cfg.beta * m == 0
+    args = psi.frame_k[free], m[free], psi.grid, 1.0
+    one, frame_one = _strang_steps(psi.components[free], *args, 1, cfg)
+    many, frame_many = _strang_steps(psi.components[free], *args, 256, cfg)
+    np.testing.assert_array_equal(frame_one, psi.frame_k[free])
+    np.testing.assert_array_equal(frame_many, psi.frame_k[free])
+    assert np.linalg.norm(many - one) <= 1e-12 * np.linalg.norm(one)
+    # and split_step_evolve gives those rows their one-step result at any budget
+    np.testing.assert_array_equal(split_step_evolve(psi, 1.0, 256, cfg).components[free], one)
