@@ -14,7 +14,7 @@ from .oracle import (SampledSpinor, dense_hamiltonian, matrix_exponential,
 from .propagator import (HybridState, apply_u1, apply_u2a, apply_u2b, apply_u2c,
                          dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, sample_state, u2c_phase)
-from .wavepacket import (CentredPacket, QuadExpPacket, boost, centred, free_evolve,
-                         from_gaussian, moments, norm, normalized, overlap, sample, translate)
+from .wavepacket import (CentredPacket, boost, free_evolve, from_gaussian, moments, overlap,
+                         sample, translate)
 
 __version__ = "0.1.0"

@@ -41,9 +41,8 @@ def _print_report(rep: harness.Report) -> None:
     sep = "unresolved" if rep.peak_separation_m is None else f"{rep.peak_separation_m:.6e}"
     print(f"peak_separation_m {sep}")
     print(f"entropy_nats      {rep.entropy_nats:.6e}")
-    if rep.oracle_l2_error is not None:
-        print(f"oracle_l2_error   {rep.oracle_l2_error:.6e}")
-        print(f"oracle_spinor_error {rep.oracle_spinor_error:.6e}")
+    for name, value, _ in rep.reference_rows():
+        print(f"{name:<17} {value:.6e}")
 
 
 def _print_rows(rows: list[tuple[str, float, float]], line: str) -> int:

@@ -146,10 +146,12 @@ class SpinQN:
     @classmethod
     def parse(cls, text: str) -> "SpinQN":
         """Accept '1/2', '3/2', '1', '2' style spin labels."""
-        text = text.strip()
-        if text.endswith("/2"):
-            return cls(int(text[:-2]))
-        return cls(2 * int(text))
+        label = text.strip()
+        half = label.endswith("/2")
+        digits = label[:-2] if half else label
+        if not digits.isdecimal():
+            raise ValueError(f"spin must be written as 1/2, 1, 3/2, ..., got {text!r}")
+        return cls(int(digits) if half else 2 * int(digits))
 
     @property
     def s(self) -> float:

@@ -25,7 +25,7 @@ from .observables import (entanglement_entropy, peak_separation, position_densit
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      spinor_l2_distance, split_step_evolve, strang_phase)
 from .propagator import (dense_factored_matrix, evolve, evolve_segments, gaussian_hybrid,
-                         join_times, sample_state)
+                         join_times, sample_state, unit_coeffs)
 from .wavepacket import from_gaussian, moments, sample
 
 VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table")
@@ -125,42 +125,6 @@ class Scenario:
         return sum(seg.duration for seg in self.segments)
 
 
-@dataclass(frozen=True, eq=False)
-class Report:
-    """Results of one scenario run.  deflection_m maps an m label such as
-    '+1/2' to the final z centroid of that component.
-    """
-
-    transit_time_s: float
-    deflection_m: dict[str, float]
-    peak_separation_m: float | None
-    entropy_nats: float
-    oracle_l2_error: float | None = None
-    oracle_spinor_error: float | None = None
-    density: np.ndarray | None = None  # columns z, p(z)
-    entropy_timeline: np.ndarray | None = None  # columns t, S
-
-    def __post_init__(self) -> None:
-        optional = (self.peak_separation_m, self.oracle_l2_error, self.oracle_spinor_error)
-        scalars = [self.transit_time_s, self.entropy_nats, *self.deflection_m.values(),
-                   *(x for x in optional if x is not None)]
-        if not all(math.isfinite(x) for x in scalars):
-            raise ValueError("report scalars must be finite")
-
-    def json_dict(self) -> dict:
-        doc = {k: getattr(self, k) for k in
-               ("transit_time_s", "deflection_m", "peak_separation_m", "entropy_nats")}
-        doc.update((k, getattr(self, k)) for k in ("oracle_l2_error", "oracle_spinor_error")
-                   if getattr(self, k) is not None)
-        return doc
-
-    def reference_rows(self) -> list[tuple[str, float, float]]:
-        """The reference errors as OracleErrors.rows(); none without compare-table."""
-        if self.oracle_l2_error is None:
-            return []
-        return OracleErrors(self.oracle_l2_error, self.oracle_spinor_error).rows()
-
-
 class OracleErrors(NamedTuple):
     """Closed form against one split-step run.  density: relative L2
     distance of the densities.  spinor: relative L2 distance of the spinor
@@ -174,6 +138,39 @@ class OracleErrors(NamedTuple):
         """(name, value, tolerance) gate rows, as interferometer_check returns."""
         return [("oracle_l2_error", self.density, DENSITY_TOL),
                 ("oracle_spinor_error", self.spinor, SPINOR_TOL)]
+
+
+@dataclass(frozen=True, eq=False)
+class Report:
+    """Results of one scenario run.  deflection_m maps an m label such as
+    '+1/2' to the final z centroid of that component; reference holds the
+    split-step check's errors when compare-table was asked for.
+    """
+
+    transit_time_s: float
+    deflection_m: dict[str, float]
+    peak_separation_m: float | None
+    entropy_nats: float
+    reference: OracleErrors | None = None
+    density: np.ndarray | None = None  # columns z, p(z)
+    entropy_timeline: np.ndarray | None = None  # columns t, S
+
+    def __post_init__(self) -> None:
+        optional = (self.peak_separation_m, *(self.reference or ()))
+        scalars = [self.transit_time_s, self.entropy_nats, *self.deflection_m.values(),
+                   *(x for x in optional if x is not None)]
+        if not all(math.isfinite(x) for x in scalars):
+            raise ValueError("report scalars must be finite")
+
+    def json_dict(self) -> dict:
+        doc = {k: getattr(self, k) for k in
+               ("transit_time_s", "deflection_m", "peak_separation_m", "entropy_nats")}
+        doc.update((name, value) for name, value, _ in self.reference_rows())
+        return doc
+
+    def reference_rows(self) -> list[tuple[str, float, float]]:
+        """The reference errors as OracleErrors.rows(); none without compare-table."""
+        return [] if self.reference is None else self.reference.rows()
 
 
 def oracle_density_error(sc: Scenario) -> OracleErrors:
@@ -210,10 +207,6 @@ def run(sc: Scenario) -> Report:
     profile = position_density_z(st, sc.grid)
     entropy = entanglement_entropy(spin_rdm(st))
 
-    oracle_err = oracle_spinor = None
-    if "compare-table" in sc.outputs:
-        oracle_err, oracle_spinor = oracle_density_error(sc)
-
     timeline = None
     if "entropy-timeline" in sc.outputs:
         timeline = entropy_timeline(sc, samples=33)
@@ -227,8 +220,7 @@ def run(sc: Scenario) -> Report:
         deflection_m=deflection,
         peak_separation_m=peak_separation(profile),
         entropy_nats=entropy,
-        oracle_l2_error=oracle_err,
-        oracle_spinor_error=oracle_spinor,
+        reference=oracle_density_error(sc) if "compare-table" in sc.outputs else None,
         density=density,
         entropy_timeline=timeline,
     )
@@ -438,12 +430,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     cfg = ExperimentConfig(**cfg_kwargs)
 
     spin = SpinQN(_parse_int(doc["twice_s"], "twice_s", TWICE_S_LIMIT))
-    coeffs = np.array([_parse_coeff(v, f"coeffs[{i}]")
-                       for i, v in enumerate(_require_list(doc["coeffs"], "coeffs"))])
-    nrm = np.linalg.norm(coeffs)
-    if nrm == 0:
-        raise ValueError("coefficients are all zero")
-    coeffs = coeffs / nrm
+    coeffs = unit_coeffs([_parse_coeff(v, f"coeffs[{i}]")
+                          for i, v in enumerate(_require_list(doc["coeffs"], "coeffs"))])
 
     if "segments" in doc:
         segments = tuple(_parse_segment(seg, f"segments[{i}]")

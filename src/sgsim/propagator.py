@@ -9,9 +9,10 @@ field kick, a boost by kick = gamma beta m t with the Larmor phase
 gamma m t B0 on the coefficient.  The three middle pieces commute.
 
 HybridState holds its z packets centred (see wavepacket), as one
-CentredPacket of (..., d) arrays, one column per m.  Each piece moves only
-a centroid, a wavenumber, a width or a phase, so evolve applies all four
-as one exact array update, with no discretization anywhere:
+CentredPacket of (..., d) arrays, one column per m, and takes no other form
+of packet.  Each piece moves only a centroid, a wavenumber, a width or a
+phase, so evolve applies all four as one exact array update, with no
+discretization anywhere:
 
     q += (k + kick / 2) hbar t / M,   k += kick,   s2 += i hbar t / (2M),
     phase += hbar k^2 t / (2M) + kick q   (k before, q after the update).
@@ -28,11 +29,9 @@ import numpy as np
 
 from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
 from .oracle import DENSE_N_LIMIT, SampledSpinor
-from .wavepacket import (CentredPacket, QuadExpPacket, boost, centred, free_evolve, norm,
-                         sample, translate)
+from .wavepacket import CentredPacket, boost, free_evolve, sample, translate
 
 COEFF_NORM_TOL = 1e-12
-PACKET_NORM_TOL = 1e-12  # fixed, for a QuadExpPacket given as the z packet
 
 Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
@@ -41,18 +40,16 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 class HybridState:
     """The z spinor: coefficients c_m against a per-m z packet, (..., d) arrays of
     one shape, column i for m = s.m_values()[i], leading axes times (x and y never
-    couple to the spin).  A QuadExpPacket given as z is checked and converted."""
+    couple to the spin).  z must be a CentredPacket: a packet of any other type
+    is a TypeError."""
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
     z: CentredPacket  # fields (..., d)
 
     def __post_init__(self) -> None:
-        if isinstance(self.z, QuadExpPacket):
-            nrm = norm(self.z)
-            if not (abs(nrm - 1.0) <= PACKET_NORM_TOL).all():
-                raise ValueError(f"z packet must be unit norm, got {nrm}")
-            object.__setattr__(self, "z", centred(self.z))
+        if not isinstance(self.z, CentredPacket):
+            raise TypeError(f"z must be a CentredPacket, got {type(self.z).__name__}")
         d, fields = self.s.dim, {"coeffs": self.coeffs, **vars(self.z)}
         shapes = [getattr(v, "shape", ()) for v in fields.values()]
         if shapes.count(shapes[0]) < len(shapes) or shapes[0][-1:] != (d,):
@@ -87,15 +84,25 @@ def join_times(states: list[HybridState]) -> HybridState:
                        CentredPacket(*map(np.concatenate, fields)))
 
 
+def unit_coeffs(coeffs) -> np.ndarray:
+    """coeffs / sqrt(sum |c|^2) as a complex array, at any finite scale.  The
+    power of two of the largest real or imaginary part is divided out first;
+    that is exact in binary floating point, and it keeps |c|^2 from
+    overflowing or underflowing."""
+    coeffs = np.array(coeffs, dtype=complex, ndmin=1)
+    parts = coeffs.view(float)  # re, im, re, im, ...
+    big = np.abs(parts).max(initial=0.0)
+    if not 0.0 < big < np.inf:
+        raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
+    coeffs = np.ldexp(parts, -np.frexp(big)[1]).view(complex)
+    return coeffs / np.sqrt((np.abs(coeffs) ** 2).sum())
+
+
 def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> HybridState:
     """Initial beam state: a Gaussian at rest at z = 0 in every spin
-    component, with the given spin coefficients."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    nrm = np.sqrt((np.abs(coeffs) ** 2).sum())
-    if not 0.0 < nrm < np.inf:
-        raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
+    component, with the given spin coefficients, normalized by unit_coeffs."""
     d = s.dim
-    return HybridState(s, coeffs / nrm, CentredPacket(
+    return HybridState(s, unit_coeffs(coeffs), CentredPacket(
         np.zeros(d), np.zeros(d), np.full(d, complex(cfg.sigma_z**2)), np.zeros(d)))
 
 

@@ -17,8 +17,9 @@ spread sigma has s2 = sigma^2; |psi|^2 has variance |s2|^2 / Re s2.
 
 Every operation is elementwise, so a packet may hold broadcastable arrays,
 one packet per element, as HybridState does.  QuadExpPacket, exp(a z^2 +
-b z + c), is the exponent view of a packet and the form any Gaussian,
-normalized or not, can be given in; norm and normalized act on it.
+b z + c), is only the exponent view CentredPacket.quad gives, for checks
+against that form, and norm and normalized act on it; the rest of sgsim
+stores and takes centred packets alone.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ class PacketMoments(NamedTuple):
 def log_amplitude(s2):
     """log of the unit-norm prefactor (Re s2 / (2 pi))^(1/4) s2^(-1/2)."""
     return 0.25 * np.log(s2.real / _TWO_PI) - 0.5 * np.log(s2)
-
-
-def centred(p: QuadExpPacket) -> CentredPacket:
-    """The centred form of p, of unit norm whatever norm(p) is."""
-    q = -p.b.real / (2.0 * p.a.real)
-    s2 = -0.25 / p.a
-    phase = (p.a.imag * q + p.b.imag) * q + p.c.imag + 0.5 * np.angle(s2)
-    return CentredPacket(q, p.b.imag + 2.0 * p.a.imag * q, s2, phase)
 
 
 def from_gaussian(sigma: float, z0: float = 0.0, k0: float = 0.0) -> CentredPacket:

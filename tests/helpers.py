@@ -1,12 +1,13 @@
 """Shared comparison and construction utilities for the test suite, and the
 references that the code in sgsim is checked against: the loop split-step
-solver; the exp(a z^2 + b z + c) packet algebra and the batched evolve that
-stored packets that way before they were stored centred; the per-packet
-closed-form propagator on that algebra with its sample-by-sample entropy
-timeline; the full (n d) x (n d) dense matrices of the factorization
-check; the interaction-picture propagator evaluated in mpmath; the spin
-matrices and operator-conjugation series of the BCH derivation; and the
-position-side entropy by grid quadrature.
+solver; the exp(a z^2 + b z + c) packet algebra, its conversion to the
+centred form, and the batched evolve that stored packets that way before
+they were stored centred; the per-packet closed-form propagator on that
+algebra with its sample-by-sample entropy timeline; the full (n d) x (n d)
+dense matrices of the factorization check; the interaction-picture
+propagator evaluated in mpmath; the spin matrices and operator-conjugation
+series of the BCH derivation; and the position-side entropy by grid
+quadrature.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import mpmath
 import numpy as np
 
 from sgsim import (CentredPacket, ExperimentConfig, GradientSegment, Grid, HybridState,
-                   QuadExpPacket, Scenario, SpinQN, entanglement_entropy, evolve_segments,
+                   Scenario, SpinQN, entanglement_entropy, evolve_segments,
                    matrix_exponential, scaled_config, u2c_phase)
 from sgsim.harness import BCHCheck
 from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
                           check_boundary_leak)
-from sgsim.wavepacket import from_gaussian, norm, normalized, sample
+from sgsim.wavepacket import QuadExpPacket, from_gaussian, norm, normalized, sample
 
 
 def _circle_gap(x: float, y: float) -> float:
@@ -130,7 +131,8 @@ def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,
 
 # ---------------------------------------------------------------------------
 # The exp(a z^2 + b z + c) algebra, as sgsim.wavepacket had it before it
-# stored packets centred, and the batched evolve built on it.
+# stored packets centred, its conversion to the centred form, and the
+# batched evolve built on it.
 
 _TWO_PI = 2.0 * math.pi
 
@@ -145,6 +147,14 @@ def quad_gaussian(sigma: float, z0: float = 0.0, k0: float = 0.0) -> QuadExpPack
     b = z0 / (2.0 * sigma * sigma) + 1j * k0
     c = -z0 * z0 / (4.0 * sigma * sigma) - 0.25 * math.log(_TWO_PI * sigma * sigma)
     return QuadExpPacket(a, complex(b), complex(c))
+
+
+def centred(p: QuadExpPacket) -> CentredPacket:
+    """The centred form of p, of unit norm whatever norm(p) is."""
+    q = -p.b.real / (2.0 * p.a.real)
+    s2 = -0.25 / p.a
+    phase = (p.a.imag * q + p.b.imag) * q + p.c.imag + 0.5 * np.angle(s2)
+    return CentredPacket(q, p.b.imag + 2.0 * p.a.imag * q, s2, phase)
 
 
 def quad_translate(p: QuadExpPacket, delta: float) -> QuadExpPacket:

@@ -251,10 +251,11 @@ def test_bch_check_defaults_to_both_stock_spins(capsys):
 
 
 def test_bch_check_rejects_bad_spin(capsys):
-    code = main(["bch-check", "--spin", "banana"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "error:" in err
+    for spin in ("banana", "0.5", "1/3", "-1"):
+        code = main(["bch-check", "--spin", spin])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: spin must be written as 1/2, 1, 3/2, ..., got {spin!r}" in err
 
 
 def test_bch_check_runs_spin_three_halves_on_256_points(capsys):
@@ -308,6 +309,31 @@ def test_nan_coefficient_exits_2_naming_the_coefficients(tmp_path, capsys):
     assert code == 2
     assert "coefficients must be finite" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([math.inf, 1], "coefficients must be finite"),
+    ([0, [0.0, -0.0]], "coefficients must be finite and not all zero"),
+    ([], "coefficients must be finite and not all zero")])
+def test_bad_coefficients_exit_2(tmp_path, capsys, coeffs, message):
+    code = main(["run", write_doc(tmp_path, {"twice_s": 1, "coeffs": coeffs})])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs, unit", [([1e300, 1e300], [1, 1]),
+                                          ([1e-200, 1e-200], [1, 1]),
+                                          ([1e200, [0, 1e200]], [1, [0, 1]])])
+def test_run_output_does_not_depend_on_the_coefficient_scale(tmp_path, capsys, coeffs, unit):
+    written = []
+    for name, c in (("scaled", coeffs), ("unit", unit)):
+        out_dir = tmp_path / name
+        code = main(["run", write_doc(tmp_path, dict(SILVER_DOC, coeffs=c), f"{name}.json"),
+                     "--out", str(out_dir)])
+        assert code == 0
+        written.append([capsys.readouterr().out] + [
+            (out_dir / f).read_bytes() for f in ("report.json", "density_z.csv")])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("key, value", [("twice_s", 1.5), ("twice_s", True),

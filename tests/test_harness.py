@@ -217,7 +217,7 @@ def test_report_json_dict_keys():
     assert rep.reference_rows() == []
     rep2 = Report(transit_time_s=1.0, deflection_m={"+1/2": 0.1},
                   peak_separation_m=None, entropy_nats=0.5,
-                  oracle_l2_error=1e-9, oracle_spinor_error=2e-9)
+                  reference=OracleErrors(1e-9, 2e-9))
     doc2 = rep2.json_dict()
     assert set(doc2) == {"transit_time_s", "deflection_m", "peak_separation_m",
                          "entropy_nats", "oracle_l2_error", "oracle_spinor_error"}
@@ -253,8 +253,7 @@ def test_run_silver_beam_splits_as_measured():
 def test_run_only_computes_requested_outputs():
     rep = run(scaled_scenario(outputs=()))
     assert rep.density is None
-    assert rep.oracle_l2_error is None
-    assert rep.oracle_spinor_error is None
+    assert rep.reference is None
     assert rep.entropy_timeline is None
 
 
@@ -315,15 +314,15 @@ def test_silver_screen_config_reference_matches():
     assert [seg.beta for seg in sc.segments] == [1000.0, 0.0]
     rep = run(sc)
     assert abs(rep.peak_separation_m - 8.471e-3) <= 1e-6
-    assert rep.oracle_l2_error <= 1e-9
-    assert rep.oracle_spinor_error <= 1e-7
+    assert rep.reference.density <= 1e-9
+    assert rep.reference.spinor <= 1e-7
 
 
 def test_run_compare_table_attaches_oracle_error():
     rep = run(scaled_scenario(outputs=("compare-table",), oracle_steps=512))
-    assert rep.oracle_l2_error is not None
-    assert rep.oracle_l2_error <= 1e-4
-    assert rep.oracle_spinor_error <= 1e-12
+    assert rep.reference is not None
+    assert rep.reference.density <= 1e-4
+    assert rep.reference.spinor <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +582,7 @@ def loaded(*names):
 assert not loaded("numpy.fft", "numpy.random", "scipy"), loaded("numpy.fft", "numpy.random", "scipy")
 sc = harness.load_scenario("configs/scaled_small.json")
 assert "compare-table" in sc.outputs
-assert harness.run(sc).oracle_l2_error <= 1e-12
+assert harness.run(sc).reference.density <= 1e-12
 assert not loaded("scipy"), loaded("scipy")[:5]
 assert harness.bch_check(SpinQN(1)).state_error <= 1e-6
 assert not loaded("scipy"), loaded("scipy")[:5]

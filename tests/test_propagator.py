@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from helpers import stack_packets, state_distance
 from sgsim import (GradientSegment, Grid, HybridState, SpinQN, apply_u1, apply_u2a,
                    apply_u2b, apply_u2c, dense_factored_matrix, dense_hamiltonian,
-                   evolve, evolve_segments, from_gaussian, gaussian_hybrid,
+                   evolve, evolve_segments, gaussian_hybrid,
                    matrix_exponential, moments, sample, sample_state, scaled_config,
                    semiclassical)
 
@@ -22,10 +22,9 @@ def test_hybrid_state_validation():
         HybridState(HALF, np.array([1.0, 0.0, 0.0]), st.z)
     with pytest.raises(ValueError):
         HybridState(HALF, np.array([1.0, 1.0]), st.z)
-    bad_packet = from_gaussian(1.0).quad
-    bad_packet = type(bad_packet)(bad_packet.a, bad_packet.b, bad_packet.c + 0.3)
-    with pytest.raises(ValueError, match="unit norm"):
-        HybridState(HALF, EQUAL, stack_packets((bad_packet, st.z_packets[1].quad)))
+    # only a centred packet is a z packet: its exponent view is refused by type
+    with pytest.raises(TypeError, match="got QuadExpPacket"):
+        HybridState(HALF, EQUAL, st.z.quad)
     with pytest.raises(ValueError, match="normalized"):
         HybridState(HALF, np.array([np.nan, 1.0]), st.z)
 
@@ -34,6 +33,15 @@ def test_gaussian_hybrid_rejects_non_finite_or_zero_coeffs():
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
         with pytest.raises(ValueError, match="finite and not all zero"):
             gaussian_hybrid(HALF, np.array(bad), scaled_config())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_gaussian_hybrid_normalizes_extreme_coeffs_exactly(scale):
+    # |c|^2 overflows or underflows at these scales; the normalized
+    # coefficients are still the bits the unit-scale ones give
+    unit = gaussian_hybrid(HALF, np.array([1.0, 1.0]), scaled_config()).coeffs
+    got = gaussian_hybrid(HALF, np.array([scale, scale]), scaled_config()).coeffs
+    assert got.tobytes() == unit.tobytes()
 
 
 def test_gaussian_hybrid_carrier():

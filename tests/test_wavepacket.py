@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import global_phase, packet_distance
-from sgsim import (CentredPacket, Grid, QuadExpPacket, boost, free_evolve, from_gaussian,
-                   moments, norm, normalized, overlap, sample, translate)
+from sgsim import (CentredPacket, Grid, boost, free_evolve, from_gaussian, moments, overlap,
+                   sample, translate)
+from sgsim.wavepacket import QuadExpPacket, norm, normalized
 
 NORM_TOL = 1e-12
 
