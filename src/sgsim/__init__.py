@@ -7,12 +7,11 @@ from .harness import (OracleErrors, Report, Scenario, bch_check, default_silver_
                       entropy_timeline, interferometer_check, interferometer_segments,
                       load_scenario, oracle_density_error, run, scaled_config,
                       scenario_from_dict)
-from .observables import (DensityProfile, SpinRDM, entanglement_entropy,
-                          peak_separation, position_density_z, semiclassical, spin_rdm)
+from .observables import (DensityProfile, SpinRDM, entanglement_entropy, peak_separation,
+                          position_density_z, spin_rdm)
 from .oracle import (SampledSpinor, dense_hamiltonian, matrix_exponential,
                      spinor_l2_distance, split_step_evolve, strang_phase)
-from .propagator import (HybridState, apply_u1, apply_u2a, apply_u2b, apply_u2c,
-                         dense_factored_matrix, evolve, evolve_segments,
+from .propagator import (HybridState, dense_factored_matrix, evolve, evolve_segments,
                          gaussian_hybrid, sample_state, u2c_phase)
 from .wavepacket import (CentredPacket, boost, free_evolve, from_gaussian, moments, overlap,
                          sample, translate)

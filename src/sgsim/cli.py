@@ -96,13 +96,13 @@ def cmd_interfere(args: argparse.Namespace) -> int:
 
 
 def cmd_bch_check(args: argparse.Namespace) -> int:
-    spins = [SpinQN.parse(args.spin)] if args.spin else [SpinQN(1), SpinQN(2)]
+    spins = [SpinQN(1), SpinQN(2)] if args.spin is None else [SpinQN.parse(args.spin)]
     ok = True
     for spin in spins:
         check = harness.bch_check(spin, n=args.n)
         passed = check.state_error <= BCH_TOL
         ok = ok and passed
-        print(f"spin {spin.twice_s}/2: state_error {check.state_error:.3e} "
+        print(f"spin {spin.label(spin.s).lstrip('+')}: state_error {check.state_error:.3e} "
               f"({'ok' if passed else 'FAIL'}, tolerance {BCH_TOL:.1e}); "
               f"raw operator_error {check.operator_error:.3e} "
               f"(periodic-seam artifact, not gated)")

@@ -1,15 +1,13 @@
-"""Physical outputs: densities, beam separation, spin reduced density
-matrix, entanglement entropy, and the semiclassical yardstick.
-"""
+"""Physical outputs: densities, beam separation, spin reduced density matrix and
+entanglement entropy.  The semiclassical yardstick is in tests/helpers.py."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig, Grid
+from .config import Grid
 from .oracle import check_boundary_leak
 from .propagator import HybridState
 from .wavepacket import EXP_FLOOR, log_amplitude, moments, overlap
@@ -108,37 +106,17 @@ def spin_rdm(st: HybridState) -> SpinRDM:
     return SpinRDM((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def entanglement_entropy(rho: SpinRDM | np.ndarray) -> float | np.ndarray:
+def entanglement_entropy(rho: SpinRDM) -> float | np.ndarray:
     """Von Neumann entropy -sum lam ln lam in nats; one value per matrix
-    of a stack.  A raw array must pass the SpinRDM checks.
+    of a stack.  rho must be a SpinRDM, which has passed its checks.
     """
     if not isinstance(rho, SpinRDM):
-        rho = SpinRDM(np.asarray(rho))
+        raise TypeError(f"rho must be a SpinRDM, got {type(rho).__name__}")
     lams = rho.eigenvalues
     kept = np.where(lams > ENTROPY_EIG_CLIP, lams, 1.0)  # 1 ln 1 = 0
     entropy = -np.sum(kept * np.log(kept), axis=-1)
     entropy = np.where(entropy > 0.0, entropy, 0.0)  # +0.0, never -0.0
     return float(entropy) if entropy.ndim == 0 else entropy
-
-
-class SemiclassicalKinematics(NamedTuple):
-    force: float
-    dp: float
-    dz: float
-
-
-def semiclassical(cfg: ExperimentConfig, t: float, m: float) -> SemiclassicalKinematics:
-    """Newtonian prediction for component m: constant force hbar m gamma beta,
-    momentum transfer F t, deflection F t^2 / (2M).
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    force = cfg.hbar * m * cfg.gamma * cfg.beta
-    return SemiclassicalKinematics(
-        force=force,
-        dp=force * t,
-        dz=force * t * t / (2.0 * cfg.mass),
-    )
 
 
 def _interior_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -234,21 +234,25 @@ def _strang_steps(phi: np.ndarray, frame: np.ndarray, m: np.ndarray, grid: Grid,
     return phi, frame + dk * p_end
 
 
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary n-point DFT matrix, F psi = fft(psi, norm="ortho"), for n <= DENSE_N_LIMIT."""
+    if n > DENSE_N_LIMIT:
+        raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {n}")
+    return np.fft.fft(np.eye(n), norm="ortho")
+
+
 def dense_hamiltonian(grid: Grid, cfg: ExperimentConfig, s: SpinQN) -> np.ndarray:
     """(d, n, n) stack of the blocks of H on the periodic grid, one per m in
     descending order: spectral kinetic term plus diagonal potential.  H
     commutes with S_z, so the blocks between different m are zero and are
     not stored.
     """
-    if grid.n > DENSE_N_LIMIT:
-        raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
-    n = grid.n
-    F = np.fft.fft(np.eye(n), norm="ortho")
+    F = dft_matrix(grid.n)
     kinetic = F.conj().T @ np.diag(cfg.hbar**2 * grid.k**2 / (2.0 * cfg.mass)) @ F
     kinetic = (kinetic + kinetic.conj().T) / 2.0
     potential = (-cfg.gamma * (cfg.b0 + cfg.beta * grid.z) * cfg.hbar) * s.m_values()[:, None]
     out = np.repeat(kinetic[None], s.dim, axis=0)
-    diag = np.arange(n)
+    diag = np.arange(grid.n)
     out[:, diag, diag] += potential
     return out
 

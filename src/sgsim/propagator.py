@@ -6,7 +6,9 @@ factors exactly into four pieces, rightmost first: the quadratic spin
 phase -hbar gamma^2 beta^2 m^2 t^3/(6M) of each coefficient; the shift of
 the z packet of m by gamma beta hbar m t^2/(2M); free flight; and the
 field kick, a boost by kick = gamma beta m t with the Larmor phase
-gamma m t B0 on the coefficient.  The three middle pieces commute.
+gamma m t B0 on the coefficient.  The three middle pieces commute.  The
+pieces one at a time, the specification evolve is checked against, are
+in tests/helpers.py; evolve is the only propagator here.
 
 HybridState holds its z packets centred (see wavepacket), as one
 CentredPacket of (..., d) arrays, one column per m, and takes no other form
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
-from .oracle import DENSE_N_LIMIT, SampledSpinor
-from .wavepacket import CentredPacket, boost, free_evolve, sample, translate
+from .oracle import SampledSpinor, dft_matrix
+from .wavepacket import CentredPacket, boost, sample
 
 COEFF_NORM_TOL = 1e-12
 
@@ -41,7 +43,7 @@ class HybridState:
     """The z spinor: coefficients c_m against a per-m z packet, (..., d) arrays of
     one shape, column i for m = s.m_values()[i], leading axes times (x and y never
     couple to the spin).  z must be a CentredPacket: a packet of any other type
-    is a TypeError."""
+    is a TypeError, and fields of different shapes are a ValueError."""
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
@@ -53,12 +55,8 @@ class HybridState:
         d, fields = self.s.dim, {"coeffs": self.coeffs, **vars(self.z)}
         shapes = [getattr(v, "shape", ()) for v in fields.values()]
         if shapes.count(shapes[0]) < len(shapes) or shapes[0][-1:] != (d,):
-            for name, v in fields.items():
-                if np.shape(v)[-1:] != (d,):
-                    raise ValueError(f"{name} must have shape (..., {d}), got {np.shape(v)}")
-            # a factor applied with a time column leaves some fields without it
-            coeffs, *z = np.broadcast_arrays(*fields.values())
-            vars(self).update(coeffs=coeffs, z=CentredPacket(*z))
+            got = ", ".join(f"{name} {np.shape(v)}" for name, v in fields.items())
+            raise ValueError(f"coeffs and z must share one shape (..., {d}), got {got}")
         total = (np.abs(self.coeffs) ** 2).sum(-1)
         if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
@@ -123,32 +121,6 @@ def u2c_phase(m: float, t: Times, cfg: ExperimentConfig) -> float:
     return -cfg.hbar * g * g * cfg.beta * cfg.beta * m * m * t**3 / (6.0 * cfg.mass)
 
 
-def apply_u2c(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Quadratic spin phase on the coefficients; packets untouched."""
-    return HybridState(st.s, st.coeffs * np.exp(1j * u2c_phase(st.s.m_values(), t, cfg)), st.z)
-
-
-def apply_u2b(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Spin-dependent translation of each z packet."""
-    _check_times(t)
-    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
-    return HybridState(st.s, st.coeffs, translate(st.z, scale * st.s.m_values()))
-
-
-def apply_u2a(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Free evolution of every z packet."""
-    return HybridState(st.s, st.coeffs, free_evolve(st.z, t, cfg.mass, cfg.hbar))
-
-
-def apply_u1(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
-    """Field kick: gradient part boosts each z packet by gamma beta t m,
-    uniform part advances the Larmor phase of each coefficient."""
-    _check_times(t)
-    m = st.s.m_values()
-    return HybridState(st.s, st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
-                       boost(st.z, cfg.gamma * cfg.beta * t * m))
-
-
 def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     """Full evolution for time t under constant B0 and beta, the four
     factors as one update of the centred arrays; a (s, 1) array of times
@@ -196,16 +168,12 @@ def dense_factored_matrix(grid: Grid, t: float, cfg: ExperimentConfig,
 
     with D_m the spin-dependent displacement.  Unitary by construction.
     """
-    if grid.n > DENSE_N_LIMIT:
-        raise ValueError(f"dense grid capped at n = {DENSE_N_LIMIT}, got {grid.n}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    F = np.fft.fft(np.eye(grid.n), norm="ortho")
-    Fh = F.conj().T
+    F = dft_matrix(grid.n)
+    _check_times(t)
     z, k = grid.z, grid.k
     m = s.m_values()[:, None]
     shift = cfg.gamma * cfg.beta * cfg.hbar * m * t * t / (2.0 * cfg.mass)
     spectral = np.exp(-1j * cfg.hbar * k * k * t / (2.0 * cfg.mass)) * np.exp(-1j * k * shift)
     kick = np.exp(1j * cfg.gamma * t * (cfg.b0 + cfg.beta * z) * m)
-    blocks = (kick[:, :, None] * Fh) @ (spectral[:, :, None] * F)
+    blocks = (kick[:, :, None] * F.conj().T) @ (spectral[:, :, None] * F)
     return np.exp(1j * u2c_phase(m, t, cfg))[:, :, None] * blocks

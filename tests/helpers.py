@@ -2,7 +2,10 @@
 references that the code in sgsim is checked against: the loop split-step
 solver; the exp(a z^2 + b z + c) packet algebra, its conversion to the
 centred form, and the batched evolve that stored packets that way before
-they were stored centred; the per-packet closed-form propagator on that
+they were stored centred; the four factors of the evolution operator
+applied one at a time to a HybridState, the specification of the fused
+sgsim.evolve, and the semiclassical (Newtonian) kinematics the deflection
+is compared with; the per-packet closed-form propagator on the exponent
 algebra with its sample-by-sample entropy timeline; the full (n d) x (n d)
 dense matrices of the factorization check; the interaction-picture
 propagator evaluated in mpmath; the spin matrices and operator-conjugation
@@ -15,14 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
 import numpy as np
 
 from sgsim import (CentredPacket, ExperimentConfig, GradientSegment, Grid, HybridState,
-                   Scenario, SpinQN, entanglement_entropy, evolve_segments,
-                   matrix_exponential, scaled_config, u2c_phase)
+                   Scenario, SpinQN, SpinRDM, boost, entanglement_entropy, evolve_segments,
+                   free_evolve, matrix_exponential, scaled_config, translate, u2c_phase)
 from sgsim.harness import BCHCheck
 from sgsim.oracle import (DENSE_N_LIMIT, EXPM_SIZE_LIMIT, SampledSpinor,
                           check_boundary_leak)
@@ -261,9 +264,13 @@ def _u1(m: np.ndarray, parts: tuple, t, cfg: ExperimentConfig) -> tuple:
             quad_boost(z, cfg.gamma * cfg.beta * t * m))
 
 
-def _apply(factors, st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
+def _check_times(t) -> None:
     if not np.greater_equal(t, 0).all():
         raise ValueError("t must be >= 0")
+
+
+def _apply(factors, st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
+    _check_times(t)
     m = st.s.m_values()
     parts = (st.coeffs, st.z)
     for factor in factors:
@@ -277,6 +284,68 @@ def quad_evolve(st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
     time axis of length s.
     """
     return _apply((_u2c, _u2b, _u2a, _u1), st, t, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The same four factors on HybridState's centred packets, applied one at a
+# time (rightmost first: apply_u2c, apply_u2b, apply_u2a, apply_u1; t is a
+# scalar or a (s, 1) column of times): the specification that the fused
+# sgsim.evolve is checked against.  Then the semiclassical kinematics that
+# the shift and the kick are compared with.
+
+def _factor_state(s: SpinQN, coeffs, z: CentredPacket) -> HybridState:
+    """A factor's output as a HybridState: a factor applied with a time
+    column leaves the fields it does not touch without that axis, so every
+    field is broadcast to one shape first."""
+    coeffs, *z = np.broadcast_arrays(coeffs, *vars(z).values())
+    return HybridState(s, coeffs, CentredPacket(*z))
+
+
+def apply_u2c(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
+    """Quadratic spin phase on the coefficients; packets untouched."""
+    phase = u2c_phase(st.s.m_values(), t, cfg)
+    return _factor_state(st.s, st.coeffs * np.exp(1j * phase), st.z)
+
+
+def apply_u2b(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
+    """Spin-dependent translation of each z packet."""
+    _check_times(t)
+    scale = cfg.gamma * cfg.beta * cfg.hbar * t * t / (2.0 * cfg.mass)
+    return _factor_state(st.s, st.coeffs, translate(st.z, scale * st.s.m_values()))
+
+
+def apply_u2a(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
+    """Free evolution of every z packet."""
+    return _factor_state(st.s, st.coeffs, free_evolve(st.z, t, cfg.mass, cfg.hbar))
+
+
+def apply_u1(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
+    """Field kick: gradient part boosts each z packet by gamma beta t m,
+    uniform part advances the Larmor phase of each coefficient."""
+    _check_times(t)
+    m = st.s.m_values()
+    return _factor_state(st.s, st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
+                         boost(st.z, cfg.gamma * cfg.beta * t * m))
+
+
+class SemiclassicalKinematics(NamedTuple):
+    force: float
+    dp: float
+    dz: float
+
+
+def semiclassical(cfg: ExperimentConfig, t: float, m: float) -> SemiclassicalKinematics:
+    """Newtonian prediction for component m: constant force hbar m gamma beta,
+    momentum transfer F t, deflection F t^2 / (2M).
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    force = cfg.hbar * m * cfg.gamma * cfg.beta
+    return SemiclassicalKinematics(
+        force=force,
+        dp=force * t,
+        dz=force * t * t / (2.0 * cfg.mass),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -600,4 +669,4 @@ def spatial_reduction_entropy(st: HybridState, grid: Grid) -> float:
     joint state this must agree with entanglement_entropy(spin_rdm(st)).
     """
     psi = st.coeffs[:, None] * sample(st.z[:, None], grid)
-    return entanglement_entropy(psi.conj() @ psi.T * grid.dz)
+    return entanglement_entropy(SpinRDM(psi.conj() @ psi.T * grid.dz))

@@ -23,9 +23,6 @@ from sgsim import (
     HybridState,
     Scenario,
     SpinQN,
-    apply_u2a,
-    apply_u2b,
-    apply_u2c,
     bch_check,
     boost,
     default_silver_config,
@@ -43,14 +40,14 @@ from sgsim import (
     position_density_z,
     sample_state,
     scaled_config,
-    semiclassical,
     spin_rdm,
     spinor_l2_distance,
     split_step_evolve,
 )
 from sgsim.harness import SILVER_GRID
 
-from helpers import conjugate_series, stack_packets, state_distance
+from helpers import (apply_u2a, apply_u2b, apply_u2c, conjugate_series, semiclassical,
+                     stack_packets, state_distance)
 
 HALF = SpinQN(1)
 EQUAL_HALF = np.array([1.0, 1.0]) / math.sqrt(2.0)

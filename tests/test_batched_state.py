@@ -13,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (loop_density, loop_entropy_timeline, loop_evolve_segments,
-                     loop_gaussian_hybrid, stack_packets)
+from helpers import (apply_u1, apply_u2a, apply_u2b, apply_u2c, loop_density,
+                     loop_entropy_timeline, loop_evolve_segments, loop_gaussian_hybrid,
+                     stack_packets)
 from sgsim import (CentredPacket, GradientSegment, Grid, HybridState, Scenario, SpinQN,
-                   apply_u1, apply_u2a, apply_u2b, apply_u2c, default_silver_config,
-                   entanglement_entropy, entropy_timeline, evolve, evolve_segments,
-                   from_gaussian, gaussian_hybrid, position_density_z, scaled_config, spin_rdm)
+                   default_silver_config, entanglement_entropy, entropy_timeline, evolve,
+                   evolve_segments, from_gaussian, gaussian_hybrid, position_density_z,
+                   scaled_config, spin_rdm)
 from sgsim.harness import TIMELINE_SAMPLES_LIMIT
 from sgsim.wavepacket import QuadExpPacket
 
@@ -142,6 +143,14 @@ def test_stacked_state_validation():
     nan[0, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         HybridState(batch.s, nan, batch.z)
+
+
+def test_mixed_shape_fields_are_refused_not_broadcast():
+    cfg = scaled_config()
+    st = gaussian_hybrid(SpinQN(1), np.ones(2), cfg)
+    coeffs = np.repeat(st.coeffs[None], 3, axis=0)  # (3, 2) against z fields of (2,)
+    with pytest.raises(ValueError, match=r"coeffs \(3, 2\), q \(2,\), k \(2,\)"):
+        HybridState(st.s, coeffs, st.z)
 
 
 def test_packet_stack_validation():

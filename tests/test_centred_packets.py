@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (centred, global_phase, ip_moments, ip_packets, ip_values,
-                     packet_distance, quad_evolve, quad_free_evolve, quad_gaussian, quad_hybrid,
-                     quad_overlap, state_distance)
-from sgsim import (GradientSegment, HybridState, SpinQN, apply_u1, apply_u2a, apply_u2b,
-                   apply_u2c, boost, default_silver_config, evolve, evolve_segments,
-                   free_evolve, from_gaussian, gaussian_hybrid, moments, overlap, sample,
-                   scaled_config, translate)
+from helpers import (apply_u1, apply_u2a, apply_u2b, apply_u2c, centred, global_phase,
+                     ip_moments, ip_packets, ip_values, packet_distance, quad_evolve,
+                     quad_free_evolve, quad_gaussian, quad_hybrid, quad_overlap, state_distance)
+from sgsim import (GradientSegment, HybridState, SpinQN, boost, default_silver_config, evolve,
+                   evolve_segments, free_evolve, from_gaussian, gaussian_hybrid, moments,
+                   overlap, sample, scaled_config, translate)
 from sgsim.propagator import join_times
 
 REL_TOL = 1e-12

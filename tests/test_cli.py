@@ -247,11 +247,11 @@ def test_bch_check_defaults_to_both_stock_spins(capsys):
     assert code == 0
     assert len(out) == 2
     assert out[0].startswith("spin 1/2:")
-    assert out[1].startswith("spin 2/2:")
+    assert out[1].startswith("spin 1:")
 
 
 def test_bch_check_rejects_bad_spin(capsys):
-    for spin in ("banana", "0.5", "1/3", "-1"):
+    for spin in ("banana", "0.5", "1/3", "-1", ""):  # an empty spin is not a missing one
         code = main(["bch-check", "--spin", spin])
         err = capsys.readouterr().err
         assert code == 2

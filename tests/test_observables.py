@@ -25,13 +25,12 @@ from sgsim import (
     position_density_z,
     sample,
     scaled_config,
-    semiclassical,
     spin_rdm,
 )
 
 from sgsim.harness import SILVER_GRID
 
-from helpers import global_phase, spatial_reduction_entropy, stack_packets
+from helpers import global_phase, semiclassical, spatial_reduction_entropy, stack_packets
 
 WIDE_GRID = Grid(z_min=-40.0, z_max=40.0, n=2048)
 
@@ -253,26 +252,22 @@ def test_entropy_invariant_under_phases():
 
 def test_entropy_rejects_wrong_trace():
     with pytest.raises(ValueError, match="trace"):
-        entanglement_entropy(np.eye(2))
+        entanglement_entropy(SpinRDM(np.eye(2)))
     # unit trace alone is not enough: these read ln 2 and 0 if accepted
     with pytest.raises(ValueError, match="Hermitian"):
-        entanglement_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        entanglement_entropy(SpinRDM(np.array([[0.5, 1.0], [0.0, 0.5]])))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        entanglement_entropy(np.diag([1.5, -0.5]))
+        entanglement_entropy(SpinRDM(np.diag([1.5, -0.5])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rdm_and_entropy_reject_non_finite_matrices(bad):
     with pytest.raises(ValueError, match="finite"):
         SpinRDM(np.full((2, 2), bad, dtype=complex))
-    with pytest.raises(ValueError, match="finite"):
-        entanglement_entropy(np.full((2, 2), bad))
     stack = np.array([np.eye(2) / 2.0] * 3, dtype=complex)
     stack[1, 0, 1] = stack[1, 1, 0] = bad  # one bad matrix in a stack
     with pytest.raises(ValueError, match="finite"):
         SpinRDM(stack)
-    with pytest.raises(ValueError, match="finite"):
-        entanglement_entropy(stack)
 
 
 def test_density_rejects_nan_values():
@@ -285,13 +280,14 @@ def test_density_rejects_nan_values():
 def test_entropy_of_a_stack_is_per_matrix():
     stack = np.array([np.diag([1.0, 0.0]), np.eye(2) / 2.0, np.diag([0.9, 0.1])])
     want = [0.0, math.log(2.0), -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))]
-    assert np.allclose(entanglement_entropy(stack), want, rtol=0, atol=1e-15)
     assert np.allclose(entanglement_entropy(SpinRDM(stack.astype(complex))), want,
                        rtol=0, atol=1e-15)
 
 
-def test_entropy_accepts_plain_matrix():
-    assert abs(entanglement_entropy(np.eye(3) / 3.0) - math.log(3.0)) <= 1e-12
+def test_entropy_takes_only_a_spin_rdm():
+    assert abs(entanglement_entropy(SpinRDM(np.eye(3) / 3.0)) - math.log(3.0)) <= 1e-12
+    with pytest.raises(TypeError, match="must be a SpinRDM, got ndarray"):
+        entanglement_entropy(np.eye(3) / 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 exponent form exp(a z^2 + b z + c) lives in sgsim.wavepacket alone, as the
 view the tests read: no other module of src/sgsim imports QuadExpPacket,
 norm or normalized, and src/ defines no converter `centred` from that form
-(tests/helpers.py holds it).  Like test_unused_imports, this scans the
-syntax trees itself."""
+(tests/helpers.py holds it).  The fused evolve is the only closed-form
+propagator in src/: the four factors applied one at a time and the
+semiclassical kinematics are the tests' specification, in tests/helpers.py.
+Like test_unused_imports, this scans the syntax trees itself."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 EXPONENT_NAMES = {"QuadExpPacket", "norm", "normalized"}
+SPECIFICATION_NAMES = {"apply_u2c", "apply_u2b", "apply_u2a", "apply_u1", "semiclassical",
+                       "SemiclassicalKinematics"}
 
 
 def imported_exponent_names(source: str) -> list[tuple[int, str]]:
@@ -51,4 +55,10 @@ def test_only_wavepacket_touches_the_exponent_form():
 def test_src_defines_no_centred_converter():
     found = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py"))
              if "centred" in defined_names(p.read_text())]
+    assert not found, found
+
+
+def test_src_defines_no_single_factor_or_semiclassical_yardstick():
+    found = [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+             for name in sorted(SPECIFICATION_NAMES & defined_names(p.read_text()))]
     assert not found, found

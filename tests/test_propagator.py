@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import stack_packets, state_distance
-from sgsim import (GradientSegment, Grid, HybridState, SpinQN, apply_u1, apply_u2a,
-                   apply_u2b, apply_u2c, dense_factored_matrix, dense_hamiltonian,
-                   evolve, evolve_segments, gaussian_hybrid,
-                   matrix_exponential, moments, sample, sample_state, scaled_config,
-                   semiclassical)
+from helpers import (apply_u1, apply_u2a, apply_u2b, apply_u2c, semiclassical,
+                     stack_packets, state_distance)
+from sgsim import (GradientSegment, Grid, HybridState, SpinQN, dense_factored_matrix,
+                   dense_hamiltonian, evolve, evolve_segments, gaussian_hybrid,
+                   matrix_exponential, moments, sample, sample_state, scaled_config)
 
 HALF = SpinQN(1)
 EQUAL = np.array([1.0, 1.0]) / np.sqrt(2.0)
