@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .config import SpinQN
 from .harness import BCH_TOL
 
 
-def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
+def _write_csv(fh: TextIO, header: str, rows: np.ndarray) -> None:
+    """The one CSV format of every subcommand: a header, then 15 significant digits."""
     line = ",".join(["{:.14e}"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line.format(*row) for row in rows.tolist())
+    fh.write(header + "\n")
+    fh.writelines(line.format(*row) for row in rows.tolist())
 
 
 def _print_report(rep: harness.Report) -> None:
@@ -68,10 +69,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "report.json"), "w") as fh:
             json.dump(rep.json_dict(), fh, indent=2)
             fh.write("\n")
-        _write_csv(os.path.join(args.out, "density_z.csv"), "z_m,p_per_m", rep.density)
-        if rep.entropy_timeline is not None:
-            _write_csv(os.path.join(args.out, "entropy_timeline.csv"),
-                       "t_s,entropy_nats", rep.entropy_timeline)
+        for name, header, rows in (("density_z.csv", "z_m,p_per_m", rep.density),
+                                   ("entropy_timeline.csv", "t_s,entropy_nats",
+                                    rep.entropy_timeline)):
+            if rows is not None:
+                with open(os.path.join(args.out, name), "w") as fh:
+                    _write_csv(fh, header, rows)
 
     return 0 if all(value <= tol for _, value, tol in rep.reference_rows()) else 1
 
@@ -83,10 +86,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     sc = harness.load_scenario(args.config)
-    timeline = harness.entropy_timeline(sc, args.samples)
-    print("t_s,entropy_nats")
-    for t, s in timeline:
-        print(f"{t:.14e},{s:.14e}")
+    _write_csv(sys.stdout, "t_s,entropy_nats", harness.entropy_timeline(sc, args.samples))
     return 0
 
 

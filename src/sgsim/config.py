@@ -18,6 +18,17 @@ HBAR_SI = 1.054571817e-34  # J s
 BOHR_MAGNETON_SI = 9.2740100783e-24  # J / T
 
 
+def _kept(obj, name: str, build) -> np.ndarray:
+    """The array build() gives, made once per frozen instance and read-only,
+    so that no caller can change what the next one reads."""
+    arr = vars(obj).get(name)
+    if arr is None:
+        arr = build()
+        arr.flags.writeable = False
+        vars(obj)[name] = arr
+    return arr
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Beam and magnet parameters.
@@ -123,13 +134,14 @@ class Grid:
 
     @property
     def z(self) -> np.ndarray:
-        """Sample points; z_max itself is excluded (periodic wrap)."""
-        return self.z_min + self.dz * np.arange(self.n)
+        """Sample points; z_max itself is excluded (periodic wrap).  Built on
+        first access and kept, read-only, since the grid is frozen."""
+        return _kept(self, "_z", lambda: self.z_min + self.dz * np.arange(self.n))
 
     @property
     def k(self) -> np.ndarray:
-        """FFT-ordered angular wavenumbers."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
+        """FFT-ordered angular wavenumbers, built once and read-only like z."""
+        return _kept(self, "_k", lambda: 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz))
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,9 @@ class SpinQN:
         return self.twice_s + 1
 
     def m_values(self) -> np.ndarray:
-        """Magnetic quantum numbers, descending from +s to -s."""
-        return self.s - np.arange(self.dim)
+        """Magnetic quantum numbers, descending from +s to -s (one read-only
+        array per instance)."""
+        return _kept(self, "_m", lambda: self.s - np.arange(self.dim))
 
     def label(self, m: float) -> str:
         """Human-readable m label: '+1/2', '0', '-3/2', ..."""

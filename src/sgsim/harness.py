@@ -202,8 +202,9 @@ def run(sc: Scenario) -> Report:
     st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, cfg)
     st = evolve_segments(st0, list(sc.segments), cfg)
 
-    deflection = {sc.spin.label(m): float(z) for m, z in
-                  zip(sc.spin.m_values(), moments(st.z, cfg.hbar).centroid)}
+    # the centroid of a centred packet is its q
+    deflection = {sc.spin.label(m): z for m, z in
+                  zip(sc.spin.m_values().tolist(), st.z.q.tolist())}
     profile = position_density_z(st, sc.grid)
     entropy = entanglement_entropy(spin_rdm(st))
 
@@ -213,7 +214,7 @@ def run(sc: Scenario) -> Report:
 
     density = None
     if "density" in sc.outputs:
-        density = np.column_stack([sc.grid.z, profile.values])
+        density = _columns(sc.grid.z, profile.values)
 
     return Report(
         transit_time_s=cfg.transit_time,
@@ -239,19 +240,31 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
         raise ValueError(f"samples must be <= {TIMELINE_SAMPLES_LIMIT}, got {samples}")
     st = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     times = np.linspace(0.0, sc.total_duration, samples)
-    parts, done, start = [], 0, 0.0
     # without segments every sample is the initial state
-    for seg in sc.segments or (GradientSegment(sc.cfg.beta, 0.0),):
+    segments = sc.segments or (GradientSegment(sc.cfg.beta, 0.0),)
+    # segment i evolves its samples and, in one more row, its end, which is
+    # the start of segment i + 1 and not a sample
+    dt = np.empty((samples + len(segments), 1))
+    is_sample = np.ones(len(dt), dtype=bool)
+    parts, done, start = [], 0, 0.0
+    for i, seg in enumerate(segments):
         end = start + seg.duration
-        upto = int(np.searchsorted(times, end, side="right"))
-        dt = np.append(times[done:upto] - start, seg.duration)
-        parts.append(evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta)))
-        st = parts[-1].at(-1)  # the end of this segment, the start of the next
+        upto = int(times.searchsorted(end, side="right"))
+        rows = dt[done + i:upto + i + 1]
+        np.subtract(times[done:upto], start, out=rows[:-1, 0])
+        rows[-1], is_sample[upto + i] = seg.duration, False
+        parts.append(evolve(st, rows, sc.cfg.with_beta(seg.beta)))
+        st = parts[-1].at(-1)
         done, start = upto, end
-    # the last row of each part is its segment's end, not a sample
-    ends = np.cumsum([len(part.coeffs) for part in parts]) - 1
     entropy = entanglement_entropy(spin_rdm(parts[0] if len(parts) == 1 else join_times(parts)))
-    return np.column_stack([times, np.delete(entropy, ends)])
+    return _columns(times, entropy[is_sample])
+
+
+def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, 2) array with columns a and b, filled in place."""
+    out = np.empty((len(a), 2))
+    out[:, 0], out[:, 1] = a, b
+    return out
 
 
 def interferometer_check(sc: Scenario, T: float) -> list[tuple[str, float, float]]:

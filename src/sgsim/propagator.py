@@ -21,17 +21,25 @@ discretization anywhere:
 
 A (s, 1) array of times gives a state with a leading time axis: the
 closed form holds at any t, so a whole timeline segment is one call.
+
+Validation: a state built at an entry point (HybridState(...) by a
+caller, gaussian_hybrid) gets every check.  A state that evolve or
+join_times derives from valid states gets only the two that an exact
+update can break: finiteness of its fields and the unit norm of its
+coefficients.  Its shapes follow from broadcasting valid fields, and
+s2 + i hbar t / (2M) leaves Re s2 bit-unchanged, so Re s2 > 0 still holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
 from .oracle import SampledSpinor, dft_matrix
-from .wavepacket import CentredPacket, boost, sample
+from .wavepacket import CentredPacket, _index, _valid, boost, sample
 
 COEFF_NORM_TOL = 1e-12
 
@@ -43,7 +51,11 @@ class HybridState:
     """The z spinor: coefficients c_m against a per-m z packet, (..., d) arrays of
     one shape, column i for m = s.m_values()[i], leading axes times (x and y never
     couple to the spin).  z must be a CentredPacket: a packet of any other type
-    is a TypeError, and fields of different shapes are a ValueError."""
+    is a TypeError, and fields of different shapes are a ValueError.
+
+    Built here, a state gets every check.  evolve and join_times build theirs
+    through _derived, which tests only finiteness and the norm (see the
+    module docstring) and falls back to this constructor on a failure."""
 
     s: SpinQN
     coeffs: np.ndarray  # (..., d) complex
@@ -64,7 +76,7 @@ class HybridState:
     def at(self, i: int | slice) -> "HybridState":
         """Row or rows i of a batched state, unchecked: rows of valid states are valid."""
         view = object.__new__(HybridState)
-        vars(view).update(s=self.s, coeffs=self.coeffs[i], z=self.z[i])
+        vars(view).update(s=self.s, coeffs=self.coeffs[i], z=_index(self.z, i))
         return view
 
     @property
@@ -75,11 +87,26 @@ class HybridState:
         return tuple(self.z[i] for i in range(self.s.dim))
 
 
+def _derived(s: SpinQN, coeffs: np.ndarray, q, k, s2, phase) -> HybridState:
+    """The state an exact update of valid states computed, checked for what
+    the update can break: finiteness (a sum of the four packet fields is
+    finite only if each is; the norm test covers coeffs) and unit norm, each
+    in one reduction.  On a failure the full constructor raises its message."""
+    total = (np.abs(coeffs) ** 2).sum(-1)
+    if not (np.isfinite(q + k + phase + s2).all() and (abs(total - 1.0) <= COEFF_NORM_TOL).all()):
+        return HybridState(s, coeffs, CentredPacket(q, k, s2, phase))
+    st = object.__new__(HybridState)
+    vars(st).update(s=s, coeffs=coeffs, z=_valid(q, k, s2, phase))
+    return st
+
+
 def join_times(states: list[HybridState]) -> HybridState:
     """One state whose time axis runs through those of `states` in turn."""
-    fields = zip(*(vars(st.z).values() for st in states))
-    return HybridState(states[0].s, np.concatenate([st.coeffs for st in states]),
-                       CentredPacket(*map(np.concatenate, fields)))
+    coeffs = np.concatenate([st.coeffs for st in states])
+    fields = map(np.concatenate, zip(*(vars(st.z).values() for st in states)))
+    if coeffs.ndim < 2:  # no time axis to join along: the full check sees the shape
+        return HybridState(states[0].s, coeffs, CentredPacket(*fields))
+    return _derived(states[0].s, coeffs, *fields)
 
 
 def unit_coeffs(coeffs) -> np.ndarray:
@@ -89,11 +116,11 @@ def unit_coeffs(coeffs) -> np.ndarray:
     overflowing or underflowing."""
     coeffs = np.array(coeffs, dtype=complex, ndmin=1)
     parts = coeffs.view(float)  # re, im, re, im, ...
-    big = np.abs(parts).max(initial=0.0)
-    if not 0.0 < big < np.inf:
+    big = float(np.abs(parts).max(initial=0.0))
+    if not 0.0 < big < math.inf:
         raise ValueError(f"coefficients must be finite and not all zero, got {coeffs}")
-    coeffs = np.ldexp(parts, -np.frexp(big)[1]).view(complex)
-    return coeffs / np.sqrt((np.abs(coeffs) ** 2).sum())
+    coeffs = np.ldexp(parts, -math.frexp(big)[1]).view(complex)
+    return coeffs / math.sqrt((np.abs(coeffs) ** 2).sum())
 
 
 def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> HybridState:
@@ -105,7 +132,7 @@ def gaussian_hybrid(s: SpinQN, coeffs: np.ndarray, cfg: ExperimentConfig) -> Hyb
 
 
 def _check_times(t: Times) -> None:
-    if not np.greater_equal(t, 0).all():
+    if not (t >= 0 if isinstance(t, float) else np.greater_equal(t, 0).all()):
         raise ValueError("t must be >= 0")
 
 
@@ -131,8 +158,8 @@ def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     q = z.q + (z.k + 0.5 * kick) * flight
     # Larmor phase gamma m t B0, and u2c_phase(m, t, cfg) = -kick^2 flight / 6
     coeffs = st.coeffs * np.exp(1j * gmt * (cfg.b0 - kick * (cfg.beta / 6.0 * flight)))
-    return HybridState(st.s, coeffs, CentredPacket(
-        q, z.k + kick, z.s2 + 0.5j * flight, z.phase + 0.5 * flight * z.k * z.k + kick * q))
+    return _derived(st.s, coeffs, q, z.k + kick, z.s2 + 0.5j * flight,
+                    z.phase + 0.5 * flight * z.k * z.k + kick * q)
 
 
 def evolve_segments(st: HybridState, segments: list[GradientSegment],

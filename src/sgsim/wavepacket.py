@@ -81,9 +81,7 @@ class CentredPacket:
         q, k, s2, phase = self.q, self.k, self.s2, self.phase
         if not np.shape(q) == np.shape(k) == np.shape(s2) == np.shape(phase):
             q, k, s2, phase = np.broadcast_arrays(q, k, s2, phase)
-        view = object.__new__(CentredPacket)
-        vars(view).update(q=q[index], k=k[index], s2=s2[index], phase=phase[index])
-        return view
+        return _valid(q[index], k[index], s2[index], phase[index])
 
     @property
     def quad(self) -> QuadExpPacket:
@@ -91,6 +89,19 @@ class CentredPacket:
         a = -0.25 / self.s2
         c = (a * self.q - 1j * self.k) * self.q + 1j * self.phase + log_amplitude(self.s2)
         return QuadExpPacket(a, -2.0 * a * self.q + 1j * self.k, c)
+
+
+def _valid(q, k, s2, phase) -> CentredPacket:
+    """A CentredPacket of fields that are valid by construction, unchecked."""
+    packet = object.__new__(CentredPacket)
+    vars(packet).update(q=q, k=k, s2=s2, phase=phase)
+    return packet
+
+
+def _index(p: CentredPacket, index) -> CentredPacket:
+    """p[index] for a valid packet whose fields share one shape, as those of
+    a HybridState do, so that no broadcast is needed."""
+    return _valid(p.q[index], p.k[index], p.s2[index], p.phase[index])
 
 
 class PacketMoments(NamedTuple):
@@ -163,16 +174,16 @@ def overlap(p: CentredPacket, q: CentredPacket) -> complex:
         exp(-(d - 2i dk conj(s2_p)) (d + 2i dk s2_q) / (4 S)
             + i (phase_q - phase_p - (k_p + k_q) d / 2)).
 
-    Entries whose exponent is below EXP_FLOOR are 0, and neither exp nor the
-    root runs on them: separated beams carry phases of 1e6 rad and more."""
+    Entries whose exponent is below EXP_FLOOR are exactly 0: their exponent
+    becomes -inf, and exp(-inf) is 0 whatever the phase (separated beams
+    carry phases of 1e6 rad and more)."""
     sp, sq = np.conj(p.s2), q.s2
     inv = 1.0 / (sp + sq)
     d, dk2 = q.q - p.q, 2j * (q.k - p.k)
     expo = (d - dk2 * sp) * (d + dk2 * sq) * (-0.25 * inv)
     expo += 1j * (q.phase - p.phase - 0.5 * (p.k + q.k) * d)
-    keep, zero = expo.real >= EXP_FLOOR, np.zeros_like(expo)
-    amp = np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv, out=zero.copy(), where=keep)
-    return amp * np.exp(expo, out=zero, where=keep)
+    expo = np.where(expo.real >= EXP_FLOOR, expo, -np.inf)
+    return np.sqrt(2.0 * np.sqrt(sp.real * sq.real) * inv) * np.exp(expo)
 
 
 def sample(p: CentredPacket, grid: Grid | np.ndarray) -> np.ndarray:

@@ -172,6 +172,24 @@ def test_entropy_prints_timeline_csv(tmp_path, capsys):
     assert values[-1] > 0.0  # beams have begun separating
 
 
+@pytest.mark.parametrize("samples", [33, 4097])
+def test_entropy_prints_what_run_writes_to_its_csv(tmp_path, capsys, samples):
+    """sge entropy and the CSV files of sge run share one writer: same header,
+    same digits, byte for byte."""
+    sc = harness.load_scenario(os.path.join(ROOT, "configs", "silver.json"))
+    code = main(["entropy", os.path.join(ROOT, "configs", "silver.json"),
+                 "--samples", str(samples)])
+    out = capsys.readouterr().out
+    assert code == 0
+    path = tmp_path / "timeline.csv"
+    with open(path, "w") as fh:
+        cli._write_csv(fh, "t_s,entropy_nats", harness.entropy_timeline(sc, samples))
+    assert out == path.read_text()
+    lines = out.splitlines()
+    assert len(lines) == samples + 1
+    assert all(FLOAT_14.match(field) for line in lines[1:] for field in line.split(","))
+
+
 def test_entropy_rejects_single_sample(tmp_path, capsys):
     code = main(["entropy", write_doc(tmp_path, SCALED_DOC), "--samples", "1"])
     err = capsys.readouterr().err
@@ -391,6 +409,28 @@ def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_pa
     assert code == 2
     assert "component m=+1/2 lies outside the density window [-0.0006, 0.0006] m" in err
     assert "centroid is -0.00423532 m and its width 1.5e-05 m" in err
+
+
+def test_run_ignores_a_weightless_component_at_the_window_edge(tmp_path, capsys):
+    # m = -1/2 carries no weight; its beam reaches past z_max, the weighted
+    # m = +1/2 one does not, so the density and the reference both run
+    doc = {**SILVER_DOC, "coeffs": [1, 0], "outputs": ["density", "compare-table"],
+           "grid": {"z_min_m": -6e-4, "z_max_m": 1.5e-4, "n": 4096}}
+    code = main(["run", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    l2 = float(re.search(r"^oracle_l2_error\s+(\S+)$", captured.out, re.M).group(1))
+    assert l2 <= 1e-9
+
+
+def test_run_leak_names_the_weighted_component(tmp_path, capsys):
+    # both beams touch the window edge; only m = -1/2 carries weight
+    doc = {**SILVER_DOC, "coeffs": [0, 1],
+           "grid": {"z_min_m": -6e-4, "z_max_m": -1.2e-4, "n": 4096}}
+    code = main(["run", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "component m=-1/2 touches the grid boundary in the density window" in err
 
 
 def test_run_passes_on_the_silver_screen_config(tmp_path, capsys):

@@ -264,6 +264,15 @@ def test_run_with_zero_duration_schedule():
         assert abs(value) <= 1e-15
 
 
+def test_run_ignores_a_weightless_component_past_the_window_edge():
+    # m = -1/2 has coefficient 0 and its beam reaches past z_max = 1.5e-4 m
+    sc = silver_scenario(initial_coeffs=np.array([1.0, 0.0]), outputs=("density", "compare-table"),
+                         grid=Grid(z_min=-6e-4, z_max=1.5e-4, n=4096))
+    rep = run(sc)
+    assert rep.reference.density <= 1e-9
+    assert abs(np.sum(rep.density[:, 1]) * sc.grid.dz - 1.0) <= 1e-8
+
+
 def test_run_is_deterministic():
     sc1 = scaled_scenario()
     sc2 = scaled_scenario()

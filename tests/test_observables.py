@@ -29,6 +29,7 @@ from sgsim import (
 )
 
 from sgsim.harness import SILVER_GRID
+from sgsim.observables import RDM_TOL
 
 from helpers import global_phase, semiclassical, spatial_reduction_entropy, stack_packets
 
@@ -77,11 +78,21 @@ def test_density_profile_rejects_unnormalized():
     grid = Grid(z_min=-5.0, z_max=5.0, n=64)
     with pytest.raises(ValueError, match="integrate"):
         DensityProfile(grid, np.full(64, 1.0))
+    # finite values whose sum overflows are finite: the integral check names them
+    values = np.zeros(64)
+    values[:2] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                    match="density must integrate to 1, got inf"):
+        DensityProfile(grid, values)
 
 
 def test_spin_rdm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         SpinRDM(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+    # an asymmetry inside RDM_TOL passes, one just outside does not
+    SpinRDM(np.array([[0.5, 0.25 + 0.5 * RDM_TOL], [0.25, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpinRDM(np.array([[0.5, 0.25 + 2.0 * RDM_TOL], [0.25, 0.5]], dtype=complex))
 
 
 def test_spin_rdm_rejects_wrong_trace():
@@ -141,6 +152,16 @@ def test_density_detects_boundary_leak():
     st = make_state([1.0, 0.0], centers=[39.5, 0.0])
     with pytest.raises(ValueError, match="density window"):
         position_density_z(st, WIDE_GRID)
+
+
+def test_density_leak_check_skips_weightless_components():
+    # the m = +1/2 packet straddles the seam, but carries no weight
+    st = make_state([0.0, 1.0], centers=[39.5, 0.0])
+    rho = position_density_z(st, WIDE_GRID)
+    assert abs(rho.values.sum() * WIDE_GRID.dz - 1.0) <= 1e-12
+    # with both on the seam, the message names the weighted one
+    with pytest.raises(ValueError, match="component m=-1/2 touches the grid boundary"):
+        position_density_z(make_state([0.0, 1.0], centers=[39.5, -39.5]), WIDE_GRID)
 
 
 def test_density_names_a_weighted_component_outside_the_window():
