@@ -41,7 +41,8 @@ SILVER_ORACLE_STEPS = 1
 # A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
 # complex array is about 4 MB at this bound.
 TIMELINE_SAMPLES_LIMIT = 4097
-# Parse-time caps: a (d, n) complex array is 128 MB at d = 8 (split-step keeps (d, steps) tables).
+# Parse-time caps: a (d, n) complex array is 128 MB at d = 8, and the split-step
+# holds a few of them plus, while it sets up one row, a few steps-long float arrays.
 GRID_N_LIMIT = ORACLE_STEPS_LIMIT = 1 << 20
 # Spin 7/2, d = 8, the dimension the two caps above are budgeted for.
 TWICE_S_LIMIT = 7
@@ -119,6 +120,32 @@ class Scenario:
         for out in self.outputs:
             if out not in VALID_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}, expected one of {VALID_OUTPUTS}")
+        self._check_scales()
+
+    def _check_scales(self) -> None:
+        """Raise, naming the segment, if the closed form would overflow on
+        the schedule.  Bounds each quantity evolve forms at the largest |m|,
+        in its order of operations: the kick gamma beta s t and the flight
+        hbar t / M summed over the schedule so far, the centroid shift their
+        products give, the spin phase and the packet phase."""
+        cfg, s = self.cfg, self.spin.s
+        kick_sum = flight_sum = shift = phase = 0.0
+        for i, seg in enumerate(self.segments):
+            t, beta = seg.duration, abs(seg.beta)
+            gmt = abs(cfg.gamma) * t * s
+            kick, flight = beta * gmt, cfg.hbar * t / cfg.mass
+            shift += (kick_sum + 0.5 * kick) * flight
+            spin_phase = gmt * (abs(cfg.b0) + kick * (beta / 6.0 * flight))
+            phase += 0.5 * flight * kick_sum * kick_sum + kick * shift
+            kick_sum += kick
+            flight_sum += flight
+            for name, value in (("gamma s t", gmt), ("the summed kick gamma beta s t", kick_sum),
+                                ("the summed flight hbar t / M", flight_sum),
+                                ("the centroid shift", shift), ("the spin phase", spin_phase),
+                                ("the packet phase", phase)):
+                if not math.isfinite(value):
+                    raise ValueError(f"segments[{i}]: duration_s {t!r} overflows the closed "
+                                     f"form: {name} is {value}")
 
     @property
     def total_duration(self) -> float:

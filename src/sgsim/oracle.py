@@ -4,10 +4,8 @@ Two independent discretizations of the same Hamiltonian
 H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
 
 * split_step_evolve: Strang-split Fourier time stepping of the non-zero
-  spin components in two batched groups, with one batched FFT per half
-  step (H is diagonal in m, so components never mix).  `steps` counts the
-  steps of each component that feels a force; a force-free one (m = 0,
-  or any m while beta = 0) evolves exactly in one step, so it takes one;
+  spin components (H is diagonal in m, so components never mix), with one
+  batched FFT each way per step; a force-free component takes one step;
 * dense_hamiltonian + matrix_exponential: the matrix propagator for
   desk-size grids, by exact eigendecomposition.  H commutes with S_z, so
   it is kept as the (d, n, n) stack of its blocks, one per m, and all d
@@ -18,14 +16,12 @@ silver-atom scale the accumulated kick (~5e9 per meter) dwarfs any
 affordable grid's Nyquist band, so SampledSpinor carries a per-component
 reference wavenumber frame_k: the physical field is
 exp(i frame_k[i] z) * components[i].  The split stepper re-gauges around
-every kinetic step, into a frame that tracks the kick delivered by the
-middle of that step, so the stored array is centred in the momentum band
-whenever it is Fourier transformed, however large one step's kick is.  It
-rounds each frame to a whole number of grid wavenumbers 2 pi / L, so the
-kinetic phases of a run are slices of a few exactly computed tables
-instead of a fresh exp at every point and step.  Re-gauging is exact (a
-pointwise phase), not an approximation; with frame_k = 0 and no field the
-scheme reduces to the textbook lab-frame method.
+every kinetic step, into the frame of the kick delivered by the middle of
+that step in whole grid wavenumbers 2 pi / L, so the stored array is
+centred in the momentum band whenever it is Fourier transformed, and a
+kinetic factor takes no exp per point and step.  Re-gauging is exact (a
+pointwise phase); with frame_k = 0 and no field the scheme reduces to the
+textbook lab-frame method.
 
 For a potential linear in z, every Strang step is exact up to a global
 phase per component (see split_step_evolve), so a segment needs one step.
@@ -44,6 +40,9 @@ from .config import ExperimentConfig, Grid, SpinQN
 # Boundary samples must stay below this fraction of the peak for a
 # periodic-grid run to be trusted.
 LEAK_TOL = 1e-8
+
+# Steps between exact recomputations of a split-step drift table.
+DRIFT_ANCHOR_STEPS = 64
 
 DENSE_N_LIMIT = 256
 EXPM_SIZE_LIMIT = 512
@@ -124,10 +123,8 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     to rounding.  `steps` counts the steps of each component that feels a
     force (gamma beta m != 0); those are stepped together as one array.  A
     force-free component (m = 0, or any m while beta = 0) sees a constant
-    potential that commutes with the kinetic term, so it takes one step of
-    length t, which is exact; the force-free rows go through the same
-    batched kernel as a second group.  All-zero components are skipped and
-    keep their frame.
+    potential that commutes with the kinetic term, so it takes one exact
+    step of length t.  All-zero components are skipped and keep their frame.
 
     Per component H = p^2/2M - F_m z plus a constant, F_m = hbar gamma beta m.
     Of the tau^3 terms of a Strang step, [T, [T, V]] ~ [p^2, p] is 0 and
@@ -138,20 +135,22 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     step is as good as many, as long as the grid resolves the state.  The
     phase is 0 for a force-free component at any step count.
 
-    Mid-step frame: kinetic step j runs in the frame frame_k + dk p_j, with
-    dk = 2 pi / L the grid wavenumber spacing and p_j = round((j + 1/2)
+    Mid-step frame: kinetic step j runs in the frame K_j = frame_k + dk p_j,
+    with dk = 2 pi / L the grid wavenumber spacing and p_j = round((j + 1/2)
     kick / dk) the kick gamma beta m tau delivered by the middle of step j,
-    rounded to whole grid wavenumbers.  The kick left in the stored array
-    at each FFT is then at most dk / 2, however large a step's kick; the
-    first half-kick is regauged by p_0 and the last by round(steps kick /
-    dk) - p_{steps-1}.  Each regauge is an exact pointwise phase, and the
-    kinetic factor exp(-i hbar tau (dk (q + p_j) + frame_k)^2 / 2M) of FFT
-    index q becomes a slice of one exactly computed table per component.
-    A table covers the steps over which p_j moves by at most n, so it holds
-    at most 2n entries.  Between two kinetic factors, half-kick, regauge and
-    half-kick merge into one multiplier; p_j grows by r or r + 1 per step,
-    so each component needs just two.  The returned frame differs from
-    frame_k + steps * kick by at most dk / 2.
+    in whole grid wavenumbers.  The kick left in the stored array at each
+    FFT is then at most dk / 2, however large a step's kick; the first
+    half-kick is regauged by p_0 and the last by round(steps kick / dk) -
+    p_{steps-1}, each an exact pointwise phase.  With a = hbar tau / 2M the
+    kinetic factor of FFT index q is exactly exp(-i a K_j^2) exp(-2i a K_j
+    dk q) exp(-i a dk^2 q^2): the last is one table per call, the middle a
+    per-row drift table that moves with p_j by exact ratio tables and is
+    recomputed every DRIFT_ANCHOR_STEPS steps, and the first a phase per
+    row, reduced mod 2 pi each step and applied once at the end.  Between
+    two kinetic factors, half-kick, regauge and half-kick merge into one
+    multiplier per value of p_{j+1} - p_j (two; three where (j + 1/2) kick /
+    dk lands on ties).  The returned frame is within dk / 2 of frame_k +
+    steps * kick.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -180,57 +179,58 @@ def _strang_steps(phi: np.ndarray, frame: np.ndarray, m: np.ndarray, grid: Grid,
     steps over t of the rows phi (rows, n), stored in frames `frame`, for
     quantum numbers m.  Overwrites phi and returns it with the new frames.
     """
-    n, half = grid.n, grid.n // 2
-    z = grid.z
-    dk = 2.0 * np.pi / grid.length
-    tau = t / steps
-    rows = m.size
+    z, dk, tau = grid.z, 2.0 * np.pi / grid.length, t / steps
+    a = cfg.hbar * tau / (2.0 * cfg.mass)
     kick = cfg.gamma * cfg.beta * m * tau  # frame advance per step
     larmor = cfg.gamma * cfg.b0 * m * tau
-    p = np.rint(np.outer(kick / dk, np.arange(steps) + 0.5)).astype(np.int64)
-    p_end = np.rint(kick / dk * steps).astype(np.int64)
-    inc = np.diff(p, axis=1)
-    # a single step has no increments, and no merged multipliers
-    r = inc.min(axis=1) if steps > 1 else np.zeros(rows, dtype=np.int64)
-    # steps per kinetic table, so that (block - 1) * reach <= n
-    reach = np.abs(inc).max(axis=1, initial=0)
-    block = np.where(reach == 0, steps, 1 + n // np.maximum(reach, 1))
+    x = (kick / dk).tolist()
+    q = np.fft.fftfreq(grid.n, 1.0 / grid.n)  # FFT-order wavenumbers in units of dk
+    # the inverse FFT runs unscaled: its 1/n, exact for n a power of two, is in fixed
+    fixed = np.exp(-1j * (a * dk * dk) * np.square(q)) / grid.n
+    drift, phik = np.empty_like(phi), np.empty_like(phi)
 
-    def potential(c: int, share: float, regauge: int) -> np.ndarray:
-        """Field phase of `share` of a step, exp(i share gamma (B0 + beta z)
-        m tau), times the regauge exp(-i dk regauge z), for row c."""
-        return np.exp(1j * (share * larmor[c] + (share * kick[c] - dk * regauge) * z))
+    def potential(c: int, share: float, regauge: int, phase: float = 0.0) -> np.ndarray:
+        """Field phase of `share` of a step, exp(i share gamma (B0 + beta z) m
+        tau), times the regauge exp(-i dk regauge z) and exp(-i phase), for row c."""
+        return np.exp(1j * (share * larmor[c] - phase + (share * kick[c] - dk * regauge) * z))
 
-    merged = [(potential(c, 1.0, r[c]), potential(c, 1.0, r[c] + 1))
-              for c in range(rows)] if steps > 1 else []
-    for c in range(rows):
-        phi[c] *= potential(c, 0.5, p[c, 0])
-    phik = np.empty_like(phi)
-    tables, lows = [None] * rows, [0] * rows
-    # tables fill buffers made once: fresh 2n-entry temporaries cost page faults
-    work, store = np.empty(2 * n), np.empty((rows, 2 * n), dtype=complex)
+    def set_drift(c: int, p: int) -> None:
+        """Row c of drift, fixed exp(-2i a K dk q) with K = frame + dk p, computed exactly."""
+        d = drift[c]
+        d.real = 0.0
+        np.multiply(q, -2.0 * a * dk * (frame[c] + dk * p), out=d.imag)
+        np.multiply(np.exp(d, out=d), fixed, out=d)
+
+    ratios, rows, phases = {}, [], []  # ratios[v]: drift ratio of p_j moving by v
+    for c in range(m.size):
+        p = np.rint(x[c] * (np.arange(steps) + 0.5))  # the frames p_j of row c
+        inc = np.diff(p)
+        low, high = (int(inc.min()), int(inc.max())) if steps > 1 else (0, -1)
+        for v in set(range(low, high + 1)) - {0} - set(ratios):
+            ratios[v] = np.exp(-2j * (a * dk * dk * v) * q)
+        rows.append((phi[c], drift[c], low, (inc - low).astype(np.uint8).tobytes(),
+                     [potential(c, 1.0, v) for v in range(low, high + 1)]))
+        phi[c] *= potential(c, 0.5, int(p[0]))
+        set_drift(c, int(p[0]))
+        p *= dk
+        p += frame[c]  # K_j, whose a K_j^2 is reduced mod 2 pi step by step
+        phases.append(float(np.remainder(a * np.square(p, out=p), 2.0 * np.pi, out=p).sum()))
     for j in range(steps):
         np.fft.fft(phi, axis=-1, out=phik)
-        for c in range(rows):
-            if j % block[c] == 0:
-                ends = p[c, j], p[c, min(j + block[c], steps) - 1]
-                lows[c] = min(ends) - half
-                w = work[:max(ends) + half - lows[c]]
-                np.multiply(dk, np.arange(lows[c], max(ends) + half), out=w)
-                w += frame[c]
-                tables[c] = tab = np.multiply(-1j * cfg.hbar, np.square(w, out=w),
-                                              out=store[c, :w.size])
-                np.exp(np.divide(np.multiply(tab, tau, out=tab), 2.0 * cfg.mass, out=tab),
-                       out=tab)
-            at = p[c, j] - lows[c]
-            phik[c, :half] *= tables[c][at:at + half]
-            phik[c, half:] *= tables[c][at - half:at]
-        np.fft.ifft(phik, axis=-1, out=phi)
-        if j < steps - 1:
-            for c in range(rows):
-                phi[c] *= merged[c][inc[c, j] - r[c]]
-    for c in range(rows):
-        phi[c] *= potential(c, 0.5, p_end[c] - p[c, -1])
+        phik *= drift
+        np.fft.ifft(phik, axis=-1, norm="forward", out=phi)
+        if j == steps - 1:
+            break
+        anchor = (j + 1) % DRIFT_ANCHOR_STEPS == 0
+        for c, (row, d, low, up, mults) in enumerate(rows):
+            row *= mults[up[j]]
+            if anchor:
+                set_drift(c, round((j + 1.5) * x[c]))
+            elif low + up[j]:
+                d *= ratios[low + up[j]]
+    p_end = np.rint(np.multiply(x, steps))
+    for c in range(m.size):
+        phi[c] *= potential(c, 0.5, int(p_end[c]) - round((steps - 0.5) * x[c]), phases[c])
     return phi, frame + dk * p_end
 
 
@@ -272,7 +272,7 @@ def matrix_exponential(H: np.ndarray, scale: complex) -> np.ndarray:
         raise ValueError("H has non-finite entries")
     Hh = np.swapaxes(H.conj(), -1, -2)
     herm_defect = np.abs(H - Hh).max()
-    if not herm_defect <= 1e-12 * max(1.0, np.abs(H).max()):
+    if not herm_defect <= 1e-12 * np.abs(H).max():
         raise ValueError(f"H must be Hermitian, got a defect of {herm_defect:.3e}")
     w, Q = np.linalg.eigh((H + Hh) / 2.0)
     return (Q * np.exp(scale * w)[..., None, :]) @ np.swapaxes(Q.conj(), -1, -2)

@@ -329,6 +329,26 @@ def test_nan_coefficient_exits_2_naming_the_coefficients(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**SILVER_DOC, "segments": [{"beta_tesla_per_m": 1000.0, "duration_s": 1e300}]},
+     "segments[0]: duration_s 1e+300 overflows the closed form: gamma s t is inf"),
+    # each segment alone is finite; the drift's flight times the kick the
+    # first one gave overflows the packet phase
+    ({**SCALED_DOC, "segments": [{"beta_tesla_per_m": 1e150, "duration_s": 1.0},
+                                 {"beta_tesla_per_m": 0.0, "duration_s": 1e10}]},
+     "segments[1]: duration_s 10000000000.0 overflows the closed form: the packet phase is inf"),
+])
+def test_a_schedule_that_overflows_the_closed_form_exits_2_naming_the_segment(
+        tmp_path, capsys, doc, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("coeffs, message", [
     ([math.inf, 1], "coefficients must be finite"),
     ([0, [0.0, -0.0]], "coefficients must be finite and not all zero"),

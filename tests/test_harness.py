@@ -148,6 +148,16 @@ def test_scenario_from_dict_rejects_an_infinite_segment_duration(tmp_path):
         load_scenario(str(path))
 
 
+def test_scenario_from_dict_admits_a_300_m_drift_to_the_screen():
+    # silver_screen's magnet, then 300 m of flight at 660 m/s, in a window
+    # and grid at the parse caps' scale
+    doc = {"twice_s": 1, "coeffs": [1, 1], "segments": [
+        {"beta_tesla_per_m": 1000.0, "duration_s": 0.035 / 660.0},
+        {"beta_tesla_per_m": 0.0, "duration_s": 300.0 / 660.0}],
+        "grid": {"z_min_m": -1.5, "z_max_m": 1.5, "n": 1 << 20}}
+    assert scenario_from_dict(doc).total_duration == pytest.approx(300.035 / 660.0)
+
+
 def test_interferometer_check_gates_the_phases_the_density_misses(monkeypatch):
     # a closed form whose only error is its Larmor phases: every row but the
     # spinor one passes

@@ -216,6 +216,18 @@ def test_matrix_exponential_general_fallback():
                                atol=1e-12)
 
 
+def test_matrix_exponential_hermitian_tolerance_is_relative():
+    """At SI energy scales (~1e-31 J) a wholly non-Hermitian matrix is
+    rejected, and a Hermitian one is exponentiated as at order one."""
+    with pytest.raises(ValueError, match="Hermitian"):
+        matrix_exponential(np.array([[0.0, 1e-31], [0.0, 0.0]]), 1.0)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = (A + A.conj().T) / 2
+    np.testing.assert_allclose(matrix_exponential(1e-31 * H, -1e31j),
+                               matrix_exponential(H, -1j), atol=1e-12)
+
+
 def test_matrix_exponential_validation():
     with pytest.raises(ValueError):
         matrix_exponential(np.ones((2, 3)), 1.0)

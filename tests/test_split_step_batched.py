@@ -56,7 +56,7 @@ def assert_frames_close(got: SampledSpinor, want: SampledSpinor, calls: int = 1)
     assert not got.components[~live].any()
 
 
-@pytest.mark.parametrize("steps", [1, 3, 32, 256])
+@pytest.mark.parametrize("steps", [1, 3, 32, 256, 2048])
 @pytest.mark.parametrize("twice_s", [1, 2, 3])
 def test_batched_matches_loop_on_scaled_grid(twice_s, steps):
     psi = random_spinor(twice_s, seed=10 * twice_s + steps)
@@ -75,6 +75,44 @@ def test_batched_matches_loop_at_silver_scale():
     want = loop_split_step_evolve(psi, cfg.transit_time, 256, cfg)
     assert spinor_l2_distance(got, want) <= 1e-8
     assert_frames_close(got, want)
+
+
+def test_a_kick_of_an_odd_number_of_grid_wavenumbers_per_step():
+    """The mid-step frames p_j = round((j + 1/2) x) then land on ties, which
+    round to even, so p_j moves by x - 1 and x + 1 in turn, never by x."""
+    grid = Grid(-16.0 * math.pi, 16.0 * math.pi, 512)  # dk = 1/16 exactly
+    cfg = scaled_config()
+    psi = sample_state(gaussian_hybrid(SpinQN(1), np.array([0.6, 0.8]), cfg), grid)
+    dk = 2.0 * math.pi / grid.length
+    assert cfg.gamma * cfg.beta * 0.5 * 0.25 / dk == -1.0  # x for m = +1/2, tau = 1/4
+    got = split_step_evolve(psi, 1.0, 4, cfg)
+    want = loop_split_step_evolve(psi, 1.0, 4, cfg)
+    assert spinor_l2_distance(got, want) <= 1e-12
+    assert_frames_close(got, want)
+
+
+def count_exp_entries(monkeypatch) -> list:
+    """Entries of each complex np.exp result from now on, one per call."""
+    sizes, exp = [], np.exp
+
+    def counting(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        if np.iscomplexobj(out):
+            sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", counting)
+    return sizes
+
+
+def test_kinetic_factors_cost_few_complex_exps(monkeypatch):
+    """A spin-1 silver run of 2731 steps at n = 4096 evaluates its kinetic
+    factors from a few exact tables, not one exp per point and step."""
+    cfg = default_silver_config()
+    psi = sample_state(gaussian_hybrid(SpinQN(2), np.ones(3) / math.sqrt(3.0), cfg), SILVER_GRID)
+    sizes = count_exp_entries(monkeypatch)
+    split_step_evolve(psi, cfg.transit_time, 2731, cfg)
+    assert sum(sizes) < 10**6
 
 
 def run_schedule_both_ways(sc: Scenario, monkeypatch) -> tuple:
