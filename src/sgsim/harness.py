@@ -109,9 +109,9 @@ class Scenario:
     outputs: tuple[str, ...] = ("density",)
 
     def __post_init__(self) -> None:
-        if self.initial_coeffs.shape != (self.spin.dim,):
-            raise ValueError(
-                f"need {self.spin.dim} coefficients, got {self.initial_coeffs.shape}")
+        if getattr(self.initial_coeffs, "shape", None) != (self.spin.dim,):
+            raise ValueError(f"initial_coeffs must be an array of {self.spin.dim} "
+                             f"coefficients, got {self.initial_coeffs!r}")
         total = float(np.sum(np.abs(self.initial_coeffs) ** 2))
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
@@ -127,22 +127,22 @@ class Scenario:
         the schedule.  Bounds each quantity evolve forms at the largest |m|,
         in its order of operations: the kick gamma beta s t and the flight
         hbar t / M summed over the schedule so far, the centroid shift their
-        products give, the spin phase and the packet phase."""
+        products give, and the segment's packet phase increment, spin phase
+        included (evolve reduces the stored phase mod 2 pi)."""
         cfg, s = self.cfg, self.spin.s
-        kick_sum = flight_sum = shift = phase = 0.0
+        kick_sum = flight_sum = shift = 0.0
         for i, seg in enumerate(self.segments):
             t, beta = seg.duration, abs(seg.beta)
             gmt = abs(cfg.gamma) * t * s
             kick, flight = beta * gmt, cfg.hbar * t / cfg.mass
             shift += (kick_sum + 0.5 * kick) * flight
-            spin_phase = gmt * (abs(cfg.b0) + kick * (beta / 6.0 * flight))
-            phase += 0.5 * flight * kick_sum * kick_sum + kick * shift
+            phase = (0.5 * flight * kick_sum * kick_sum + kick * shift
+                     + gmt * (abs(cfg.b0) + kick * (beta / 6.0 * flight)))
             kick_sum += kick
             flight_sum += flight
             for name, value in (("gamma s t", gmt), ("the summed kick gamma beta s t", kick_sum),
                                 ("the summed flight hbar t / M", flight_sum),
-                                ("the centroid shift", shift), ("the spin phase", spin_phase),
-                                ("the packet phase", phase)):
+                                ("the centroid shift", shift), ("the packet phase", phase)):
                 if not math.isfinite(value):
                     raise ValueError(f"segments[{i}]: duration_s {t!r} overflows the closed "
                                      f"form: {name} is {value}")
@@ -156,7 +156,7 @@ class OracleErrors(NamedTuple):
     """Closed form against one split-step run.  density: relative L2
     distance of the densities.  spinor: relative L2 distance of the spinor
     fields, the split-step one with its Strang phase removed; unlike the
-    density it sees every coefficient phase (Larmor, u2c)."""
+    density it sees every component phase (kinetic, Larmor, u2c)."""
 
     density: float
     spinor: float

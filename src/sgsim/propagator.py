@@ -3,12 +3,14 @@
 H = p^2/(2M) - gamma (B0 + beta z) S_z has a kinetic and a spin-field
 part whose double commutators are scalars, so its evolution operator
 factors exactly into four pieces, rightmost first: the quadratic spin
-phase -hbar gamma^2 beta^2 m^2 t^3/(6M) of each coefficient; the shift of
-the z packet of m by gamma beta hbar m t^2/(2M); free flight; and the
-field kick, a boost by kick = gamma beta m t with the Larmor phase
-gamma m t B0 on the coefficient.  The three middle pieces commute.  The
-pieces one at a time, the specification evolve is checked against, are
-in tests/helpers.py; evolve is the only propagator here.
+phase -hbar gamma^2 beta^2 m^2 t^3/(6M) of the z packet of m; the shift
+of that packet by gamma beta hbar m t^2/(2M); free flight; and the field
+kick, a boost by kick = gamma beta m t with the Larmor phase gamma m t B0.
+The three middle pieces commute.  No piece acts on the spin coefficients:
+as in the interaction picture, component m is c_m(0) times a packet whose
+phase holds every phase, so c_m keeps the value gaussian_hybrid gave it.
+The pieces one at a time, the specification evolve is checked against,
+are in tests/helpers.py; evolve is the only propagator here.
 
 HybridState holds its z packets centred (see wavepacket), as one
 CentredPacket of (..., d) arrays, one column per m, and takes no other form
@@ -17,17 +19,23 @@ phase, so evolve applies all four as one exact array update, with no
 discretization anywhere:
 
     q += (k + kick / 2) hbar t / M,   k += kick,   s2 += i hbar t / (2M),
-    phase += hbar k^2 t / (2M) + kick q   (k before, q after the update).
+    phase += hbar k^2 t / (2M) + kick q + gamma m t B0 + u2c_phase
+             (k before, q after the update),
 
-A (s, 1) array of times gives a state with a leading time axis: the
-closed form holds at any t, so a whole timeline segment is one call.
+and the phase is then reduced mod 2 pi, into (-2 pi, 2 pi) by fmod, which
+is exact (np.remainder rounds where it adds 2 pi to a negative phase): the
+Larmor phase alone reaches 1e6 rad over a silver transit, and spin_rdm's
+overlaps take differences of phases.  A (s, 1) array of times gives a
+state with a leading time axis: the closed form holds at any t, so a
+whole timeline segment is one call.
 
 Validation: a state built at an entry point (HybridState(...) by a
 caller, gaussian_hybrid) gets every check.  A state that evolve or
-join_times derives from valid states gets only the two that an exact
-update can break: finiteness of its fields and the unit norm of its
-coefficients.  Its shapes follow from broadcasting valid fields, and
-s2 + i hbar t / (2M) leaves Re s2 bit-unchanged, so Re s2 > 0 still holds.
+join_times derives from valid states gets only the one that an exact
+update can break: finiteness of its packet fields.  Its shapes follow
+from broadcasting valid fields, its coefficients are a valid state's,
+passed through unchanged, and s2 + i hbar t / (2M) leaves Re s2
+bit-unchanged, so Re s2 > 0 still holds.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 
 from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
 from .oracle import SampledSpinor, dft_matrix
-from .wavepacket import CentredPacket, _index, _valid, boost, sample
+from .wavepacket import _TWO_PI, CentredPacket, _index, _valid, boost, sample
 
 COEFF_NORM_TOL = 1e-12
 
@@ -48,52 +56,56 @@ Times = float | np.ndarray  # a time, or a (s, 1) column of times
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """The z spinor: coefficients c_m against a per-m z packet, (..., d) arrays of
-    one shape, column i for m = s.m_values()[i], leading axes times (x and y never
-    couple to the spin).  z must be a CentredPacket: a packet of any other type
-    is a TypeError, and fields of different shapes are a ValueError.
+    """The z spinor: a (d,) vector of coefficients c_m against a per-m z packet
+    of (..., d) fields of one shape, column i for m = s.m_values()[i], leading
+    axes times (x and y never couple to the spin).  The packet phase holds
+    every phase of the evolution, so c_m is the same at every time.  z must be
+    a CentredPacket: a packet of any other type is a TypeError, and coeffs of
+    another shape or fields of different shapes are a ValueError.
 
     Built here, a state gets every check.  evolve and join_times build theirs
-    through _derived, which tests only finiteness and the norm (see the
-    module docstring) and falls back to this constructor on a failure."""
+    through _derived, which tests only finiteness (see the module docstring)
+    and falls back to this constructor on a failure."""
 
     s: SpinQN
-    coeffs: np.ndarray  # (..., d) complex
+    coeffs: np.ndarray  # (d,) complex
     z: CentredPacket  # fields (..., d)
 
     def __post_init__(self) -> None:
         if not isinstance(self.z, CentredPacket):
             raise TypeError(f"z must be a CentredPacket, got {type(self.z).__name__}")
-        d, fields = self.s.dim, {"coeffs": self.coeffs, **vars(self.z)}
+        d, fields = self.s.dim, vars(self.z)
         shapes = [getattr(v, "shape", ()) for v in fields.values()]
-        if shapes.count(shapes[0]) < len(shapes) or shapes[0][-1:] != (d,):
-            got = ", ".join(f"{name} {np.shape(v)}" for name, v in fields.items())
-            raise ValueError(f"coeffs and z must share one shape (..., {d}), got {got}")
-        total = (np.abs(self.coeffs) ** 2).sum(-1)
-        if not (abs(total - 1.0) <= COEFF_NORM_TOL).all():
+        if (getattr(self.coeffs, "shape", ()) != (d,) or shapes.count(shapes[0]) < len(shapes)
+                or shapes[0][-1:] != (d,)):
+            got = ", ".join(f"{name} {np.shape(v)}"
+                            for name, v in {"coeffs": self.coeffs, **fields}.items())
+            raise ValueError(f"need coeffs of shape ({d},) and z fields of one shape "
+                             f"(..., {d}), got {got}")
+        total = (np.abs(self.coeffs) ** 2).sum()
+        if not abs(total - 1.0) <= COEFF_NORM_TOL:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
 
     def at(self, i: int | slice) -> "HybridState":
         """Row or rows i of a batched state, unchecked: rows of valid states are valid."""
         view = object.__new__(HybridState)
-        vars(view).update(s=self.s, coeffs=self.coeffs[i], z=_index(self.z, i))
+        vars(view).update(s=self.s, coeffs=self.coeffs, z=_index(self.z, i))
         return view
 
     @property
     def z_packets(self) -> tuple[CentredPacket, ...]:
         """Scalar view of the z packet of each m (unbatched states only)."""
-        if np.ndim(self.coeffs) != 1:
+        if np.ndim(self.z.q) != 1:
             raise ValueError("z_packets needs a state without a time axis")
         return tuple(self.z[i] for i in range(self.s.dim))
 
 
 def _derived(s: SpinQN, coeffs: np.ndarray, q, k, s2, phase) -> HybridState:
-    """The state an exact update of valid states computed, checked for what
-    the update can break: finiteness (a sum of the four packet fields is
-    finite only if each is; the norm test covers coeffs) and unit norm, each
-    in one reduction.  On a failure the full constructor raises its message."""
-    total = (np.abs(coeffs) ** 2).sum(-1)
-    if not (np.isfinite(q + k + phase + s2).all() and (abs(total - 1.0) <= COEFF_NORM_TOL).all()):
+    """The state an exact update of valid states computed, with the coefficients
+    of one of them, checked for what the update can break: finiteness, in one
+    reduction (a sum of the four packet fields is finite only if each is).  On
+    a failure the full constructor raises its message."""
+    if not np.isfinite(q + k + phase + s2).all():
         return HybridState(s, coeffs, CentredPacket(q, k, s2, phase))
     st = object.__new__(HybridState)
     vars(st).update(s=s, coeffs=coeffs, z=_valid(q, k, s2, phase))
@@ -101,10 +113,13 @@ def _derived(s: SpinQN, coeffs: np.ndarray, q, k, s2, phase) -> HybridState:
 
 
 def join_times(states: list[HybridState]) -> HybridState:
-    """One state whose time axis runs through those of `states` in turn."""
-    coeffs = np.concatenate([st.coeffs for st in states])
-    fields = map(np.concatenate, zip(*(vars(st.z).values() for st in states)))
-    if coeffs.ndim < 2:  # no time axis to join along: the full check sees the shape
+    """One state whose time axis runs through those of `states` in turn; they
+    must share one coefficient vector, which the joined state keeps."""
+    coeffs = states[0].coeffs
+    if not all(np.array_equal(st.coeffs, coeffs) for st in states[1:]):
+        raise ValueError("join_times needs states with the same coefficients")
+    fields = [np.concatenate(f) for f in zip(*(vars(st.z).values() for st in states))]
+    if fields[0].ndim < 2:  # no time axis to join along: the full check sees the shape
         return HybridState(states[0].s, coeffs, CentredPacket(*fields))
     return _derived(states[0].s, coeffs, *fields)
 
@@ -137,8 +152,8 @@ def _check_times(t: Times) -> None:
 
 
 def u2c_phase(m: float, t: Times, cfg: ExperimentConfig) -> float:
-    """Phase picked up by the coefficient of component m from the
-    gradient-squared spin term: -hbar gamma^2 beta^2 m^2 t^3 / (6 M).
+    """Phase picked up by component m from the gradient-squared spin
+    term: -hbar gamma^2 beta^2 m^2 t^3 / (6 M).
 
     Even in m, cubic in time; a global (physically empty) phase for
     spin 1/2 since m^2 is then constant.  Elementwise in m and t.
@@ -157,9 +172,10 @@ def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
     kick, flight = cfg.beta * gmt, cfg.hbar * t / cfg.mass
     q = z.q + (z.k + 0.5 * kick) * flight
     # Larmor phase gamma m t B0, and u2c_phase(m, t, cfg) = -kick^2 flight / 6
-    coeffs = st.coeffs * np.exp(1j * gmt * (cfg.b0 - kick * (cfg.beta / 6.0 * flight)))
-    return _derived(st.s, coeffs, q, z.k + kick, z.s2 + 0.5j * flight,
-                    z.phase + 0.5 * flight * z.k * z.k + kick * q)
+    phase = (z.phase + 0.5 * flight * z.k * z.k + kick * q
+             + gmt * (cfg.b0 - kick * (cfg.beta / 6.0 * flight)))
+    return _derived(st.s, st.coeffs, q, z.k + kick, z.s2 + 0.5j * flight,
+                    np.fmod(phase, _TWO_PI))
 
 
 def evolve_segments(st: HybridState, segments: list[GradientSegment],

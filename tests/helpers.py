@@ -48,9 +48,9 @@ def packet_distance(p: CentredPacket, q: CentredPacket) -> float:
 def state_distance(s1: HybridState, s2: HybridState) -> float:
     """Worst physical difference between two hybrid states.
 
-    A component's phase may sit in the coefficient or in the packet's
-    phase depending on the order operations were applied in; only the
-    combination arg(c_m) + phase is meaningful, so compare that.
+    Only the product c_m psi_m is physical: evolve and the factors below
+    keep every phase in the packet, but a state built by hand may carry a
+    component's phase in its coefficient, so compare arg(c_m) + phase.
     """
     assert s1.s == s2.s
     worst = 0.0
@@ -295,16 +295,15 @@ def quad_evolve(st: QuadState, t, cfg: ExperimentConfig) -> QuadState:
 
 def _factor_state(s: SpinQN, coeffs, z: CentredPacket) -> HybridState:
     """A factor's output as a HybridState: a factor applied with a time
-    column leaves the fields it does not touch without that axis, so every
-    field is broadcast to one shape first."""
-    coeffs, *z = np.broadcast_arrays(coeffs, *vars(z).values())
-    return HybridState(s, coeffs, CentredPacket(*z))
+    column leaves the packet fields it does not touch without that axis, so
+    they are broadcast to one shape first; the coefficients are the input's."""
+    return HybridState(s, coeffs, CentredPacket(*np.broadcast_arrays(*vars(z).values())))
 
 
 def apply_u2c(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
-    """Quadratic spin phase on the coefficients; packets untouched."""
-    phase = u2c_phase(st.s.m_values(), t, cfg)
-    return _factor_state(st.s, st.coeffs * np.exp(1j * phase), st.z)
+    """Quadratic spin phase, on the phase of each z packet."""
+    return _factor_state(st.s, st.coeffs,
+                         global_phase(st.z, u2c_phase(st.s.m_values(), t, cfg)))
 
 
 def apply_u2b(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
@@ -321,11 +320,11 @@ def apply_u2a(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
 
 def apply_u1(st: HybridState, t, cfg: ExperimentConfig) -> HybridState:
     """Field kick: gradient part boosts each z packet by gamma beta t m,
-    uniform part advances the Larmor phase of each coefficient."""
+    uniform part advances its phase by the Larmor phase gamma m t B0."""
     _check_times(t)
     m = st.s.m_values()
-    return _factor_state(st.s, st.coeffs * np.exp(1j * cfg.gamma * m * t * cfg.b0),
-                         boost(st.z, cfg.gamma * cfg.beta * t * m))
+    kicked = boost(st.z, cfg.gamma * cfg.beta * t * m)
+    return _factor_state(st.s, st.coeffs, global_phase(kicked, cfg.gamma * m * t * cfg.b0))
 
 
 class SemiclassicalKinematics(NamedTuple):

@@ -86,13 +86,13 @@ def test_batched_evolve_rows_match_scalar_evolve():
     st = gaussian_hybrid(SpinQN(3), np.arange(1.0, 5.0), cfg)
     times = np.array([0.0, 0.3, 1.1, 2.5])
     batch = evolve(st, times[:, None], cfg)
-    assert batch.coeffs.shape == (4, 4)
+    assert batch.coeffs is st.coeffs and batch.z.q.shape == batch.z.phase.shape == (4, 4)
     rdms = spin_rdm(batch)
     assert rdms.matrix.shape == (4, 4, 4)
     entropies = entanglement_entropy(rdms)
     for i, t in enumerate(times):
         one, row = evolve(st, t, cfg), batch.at(i)
-        assert np.abs(row.coeffs - one.coeffs).max() <= 1e-14
+        assert row.coeffs is one.coeffs is st.coeffs
         for f in ("q", "k", "s2", "phase"):
             assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-13
         assert abs(entropies[i] - entanglement_entropy(spin_rdm(one))) <= 1e-14
@@ -105,10 +105,10 @@ def test_single_factors_take_a_time_column():
     times = np.array([0.0, 0.5, 1.25])
     for factor in (apply_u2c, apply_u2b, apply_u2a, apply_u1):
         batch = factor(st, times[:, None], cfg)
-        assert batch.coeffs.shape == batch.z.q.shape == batch.z.phase.shape == (3, 3)
+        assert batch.coeffs is st.coeffs and batch.z.q.shape == batch.z.phase.shape == (3, 3)
         for i, t in enumerate(times):
             one, row = factor(st, t, cfg), batch.at(i)
-            assert np.abs(row.coeffs - one.coeffs).max() <= 1e-15
+            assert row.coeffs is one.coeffs is st.coeffs
             for f in ("q", "k", "s2", "phase"):
                 assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-15
 
@@ -129,8 +129,10 @@ def test_stacked_state_validation():
     batch = evolve(st, np.array([[0.5], [1.0]]), cfg)
     with pytest.raises(ValueError, match="shape"):
         HybridState(st.s, st.coeffs, stack_packets([from_gaussian(1.0)] * 3))
+    with pytest.raises(ValueError, match=r"need coeffs of shape \(2,\)"):  # one row per time
+        HybridState(batch.s, np.broadcast_to(batch.coeffs, batch.z.q.shape), batch.z)
     bad = batch.coeffs.copy()
-    bad[1, 0] *= 1.001  # one time row off normalization
+    bad[0] *= 1.001  # off normalization
     with pytest.raises(ValueError, match="normalized"):
         HybridState(batch.s, bad, batch.z)
     with pytest.raises(TypeError, match="got QuadExpPacket"):
@@ -140,7 +142,7 @@ def test_stacked_state_validation():
     with pytest.raises(ValueError, match="Re\\(s2\\) > 0"):
         HybridState(batch.s, batch.coeffs, replace(batch.z, s2=s2))
     nan = batch.coeffs.copy()
-    nan[0, 0] = np.nan
+    nan[0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         HybridState(batch.s, nan, batch.z)
 
@@ -151,6 +153,9 @@ def test_mixed_shape_fields_are_refused_not_broadcast():
     coeffs = np.repeat(st.coeffs[None], 3, axis=0)  # (3, 2) against z fields of (2,)
     with pytest.raises(ValueError, match=r"coeffs \(3, 2\), q \(2,\), k \(2,\)"):
         HybridState(st.s, coeffs, st.z)
+    q = np.repeat(st.z.q[None], 3, axis=0)  # a (3, 2) field among fields of (2,)
+    with pytest.raises(ValueError, match=r"coeffs \(2,\), q \(3, 2\), k \(2,\)"):
+        HybridState(st.s, st.coeffs, replace(st.z, q=q))
 
 
 def test_packet_stack_validation():

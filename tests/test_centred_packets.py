@@ -1,5 +1,6 @@
 """Centred packets: the fused evolve against the interaction-picture
-reference evaluated in mpmath, against the four factors and against the
+reference evaluated in mpmath, on random schedules and, phase included, on
+the stock configs; against the four factors and against the
 exp(a z^2 + b z + c) evolve it replaced; unit norm at screen distances;
 conversions between the centred and exponent forms; overlaps.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,12 +22,19 @@ from helpers import (apply_u1, apply_u2a, apply_u2b, apply_u2c, centred, global_
 from sgsim import (GradientSegment, HybridState, SpinQN, boost, default_silver_config, evolve,
                    evolve_segments, free_evolve, from_gaussian, gaussian_hybrid, moments,
                    overlap, sample, scaled_config, translate)
+from sgsim.harness import load_scenario
 from sgsim.propagator import join_times
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REL_TOL = 1e-12
 PACKET_NORM_TOL = 1e-12  # a fixed bound, whatever the distance
 # Offsets from each beam's centroid, in widths, where |psi| is compared.
 WINDOW = np.linspace(-4.0, 4.0, 9)
+# c_m psi_m on the stock configs, phase included, relative at each offset
+# (in widths) from the centroid: float64 rounding of phases of 1e6-1e7 rad.
+STOCK_PHASE_TOL = {"silver": 1e-9, "silver_spin1": 1e-8, "silver_screen": 1e-7,
+                   "scaled_small": 1e-13}
+STOCK_OFFSETS = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
 HALF = SpinQN(1)
 
 
@@ -80,6 +89,19 @@ def test_evolve_phases_match_the_interaction_picture(case):
         got = c * sample(translate(p, -p.q), u)
         want = c0 * np.array([complex(v) for v in ip_values(ref, u)])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_PHASE_TOL))
+def test_stock_configs_match_the_interaction_picture_phase_included(name):
+    sc = load_scenario(os.path.join(ROOT, "configs", f"{name}.json"))
+    st_ = evolve_segments(gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg),
+                          list(sc.segments), sc.cfg)
+    for c0, c, p, ref in zip(sc.initial_coeffs, st_.coeffs, st_.z_packets,
+                             ip_packets(sc.cfg, sc.spin, sc.segments)):
+        u = STOCK_OFFSETS * float(ip_moments(ref)[1])
+        got = c * sample(translate(p, -p.q), u)
+        want = c0 * np.array([complex(v) for v in ip_values(ref, u)])
+        assert np.all(np.abs(got - want) <= STOCK_PHASE_TOL[name] * np.abs(want))
 
 
 @pytest.mark.parametrize("metres", [1.0, 10.0, 35.0])
@@ -181,6 +203,6 @@ def test_join_times_runs_through_the_rows():
     a = evolve(st0, np.array([[0.0], [0.5]]), cfg)
     b = evolve(st0, np.array([[1.0], [1.5], [2.0]]), cfg)
     joined = join_times([a.at(slice(0, 1)), b])
-    assert joined.coeffs.shape == (4, 3)
+    assert joined.coeffs is st0.coeffs and joined.z.q.shape == (4, 3)
     for i, row in enumerate([a.at(0), b.at(0), b.at(1), b.at(2)]):
         assert state_distance(joined.at(i), row) == 0.0

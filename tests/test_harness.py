@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from sgsim import (
     bch_check,
     default_silver_config,
     entropy_timeline,
+    evolve_segments,
+    gaussian_hybrid,
     harness,
     interferometer_check,
     interferometer_segments,
@@ -179,6 +182,28 @@ def test_interferometer_check_gates_the_phases_the_density_misses(monkeypatch):
 def test_scenario_rejects_wrong_coeff_count():
     with pytest.raises(ValueError, match="coefficients"):
         silver_scenario(initial_coeffs=np.array([1.0, 0.0, 0.0]))
+
+
+def test_scenario_rejects_coeffs_that_are_not_an_array():
+    with pytest.raises(ValueError, match=r"initial_coeffs must be an array of 2 coefficients, "
+                                         r"got \[1, 0\]"):
+        silver_scenario(initial_coeffs=[1, 0])
+
+
+def test_the_scale_check_bounds_each_segments_phase_increment():
+    # evolve reduces the stored phase mod 2 pi, so a schedule whose phase
+    # overflows only when summed over its segments is admitted and runs
+    segments = (GradientSegment(1e150, 1.0),) + (GradientSegment(0.0, 1e8),) * 20
+    sc = scaled_scenario(segments=segments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = evolve_segments(gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg), list(segments),
+                             sc.cfg)
+    assert (np.abs(st.z.phase) < 2.0 * math.pi).all()
+    # a Larmor phase and a kinetic phase that overflow only together
+    with pytest.raises(ValueError, match=r"^segments\[0\]: duration_s 1.0 overflows the closed "
+                                         r"form: the packet phase is inf$"):
+        scaled_scenario(cfg=scaled_config(b0=1e308), segments=(GradientSegment(3e154, 1.0),))
 
 
 def test_scenario_rejects_unnormalized_coeffs():
