@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="entanglement entropy timeline as CSV")
     p.add_argument("config")
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--samples", type=int, default=harness.TIMELINE_SAMPLES)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("interfere", help="gradient-flip recombination and reference errors")

@@ -25,7 +25,7 @@ from .observables import (entanglement_entropy, peak_separation, position_densit
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      spinor_l2_distance, split_step_evolve, strang_phase)
 from .propagator import (dense_factored_matrix, evolve, evolve_segments, gaussian_hybrid,
-                         join_times, sample_state, unit_coeffs)
+                         sample_state, unit_coeffs)
 from .wavepacket import from_gaussian, moments, sample
 
 VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table")
@@ -38,8 +38,10 @@ SILVER_GRID = Grid(z_min=-6e-4, z_max=6e-4, n=4096)
 # so one per segment reaches the rounding floor; more serve convergence studies.
 SILVER_ORACLE_STEPS = 1
 
-# A batched timeline holds a few (samples, d, d) arrays; at d = 8 one such
-# complex array is about 4 MB at this bound.
+# Samples of the entropy timeline that run() reports and `sge entropy` prints
+# by default.  A batched timeline holds a few (samples, d, d) arrays; at d = 8
+# one such complex array is about 4 MB at the limit.
+TIMELINE_SAMPLES = 33
 TIMELINE_SAMPLES_LIMIT = 4097
 # Parse-time caps: a (d, n) complex array is 128 MB at d = 8, and the split-step
 # holds a few of them plus, while it sets up one row, a few steps-long float arrays.
@@ -237,7 +239,7 @@ def run(sc: Scenario) -> Report:
 
     timeline = None
     if "entropy-timeline" in sc.outputs:
-        timeline = entropy_timeline(sc, samples=33)
+        timeline = entropy_timeline(sc, TIMELINE_SAMPLES)
 
     density = None
     if "density" in sc.outputs:
@@ -258,8 +260,13 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
     """Entanglement entropy at evenly spaced times across the schedule;
     returns an array with columns (t, entropy).
 
-    The closed form holds at any t, so one batched evolve from the start of
-    each segment gives its samples and its end, and one spin_rdm takes all.
+    The evolution operator of the schedule is the product of its segment
+    operators, so one batched evolve per segment, of every sample at once
+    for the part of its time that falls in the segment, gives the whole
+    timeline, and one spin_rdm takes all.  A sample before the segment
+    evolves by 0, which leaves its state bit-identical, and a sample at or
+    past its end by the segment's duration, so the last row is the state
+    evolve_segments gives.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -267,24 +274,15 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
         raise ValueError(f"samples must be <= {TIMELINE_SAMPLES_LIMIT}, got {samples}")
     st = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     times = np.linspace(0.0, sc.total_duration, samples)
+    start = 0.0
     # without segments every sample is the initial state
-    segments = sc.segments or (GradientSegment(sc.cfg.beta, 0.0),)
-    # segment i evolves its samples and, in one more row, its end, which is
-    # the start of segment i + 1 and not a sample
-    dt = np.empty((samples + len(segments), 1))
-    is_sample = np.ones(len(dt), dtype=bool)
-    parts, done, start = [], 0, 0.0
-    for i, seg in enumerate(segments):
+    for seg in sc.segments or (GradientSegment(sc.cfg.beta, 0.0),):
         end = start + seg.duration
-        upto = int(times.searchsorted(end, side="right"))
-        rows = dt[done + i:upto + i + 1]
-        np.subtract(times[done:upto], start, out=rows[:-1, 0])
-        rows[-1], is_sample[upto + i] = seg.duration, False
-        parts.append(evolve(st, rows, sc.cfg.with_beta(seg.beta)))
-        st = parts[-1].at(-1)
-        done, start = upto, end
-    entropy = entanglement_entropy(spin_rdm(parts[0] if len(parts) == 1 else join_times(parts)))
-    return _columns(times, entropy[is_sample])
+        # a sample spends max(t - start, 0) here, and all of it once t reaches the end
+        dt = np.where(times < end, np.maximum(times - start, 0.0), seg.duration)
+        st = evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta))
+        start = end
+    return _columns(times, entanglement_entropy(spin_rdm(st)))
 
 
 def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:

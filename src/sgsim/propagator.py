@@ -27,15 +27,15 @@ is exact (np.remainder rounds where it adds 2 pi to a negative phase): the
 Larmor phase alone reaches 1e6 rad over a silver transit, and spin_rdm's
 overlaps take differences of phases.  A (s, 1) array of times gives a
 state with a leading time axis: the closed form holds at any t, so a
-whole timeline segment is one call.
+timeline takes one call per segment, for all of its samples at once.
 
 Validation: a state built at an entry point (HybridState(...) by a
-caller, gaussian_hybrid) gets every check.  A state that evolve or
-join_times derives from valid states gets only the one that an exact
-update can break: finiteness of its packet fields.  Its shapes follow
-from broadcasting valid fields, its coefficients are a valid state's,
-passed through unchanged, and s2 + i hbar t / (2M) leaves Re s2
-bit-unchanged, so Re s2 > 0 still holds.
+caller, gaussian_hybrid) gets every check.  A state that evolve derives
+from a valid state gets only the one that an exact update can break:
+finiteness of its packet fields.  Its shapes follow from broadcasting
+valid fields, its coefficients are the valid state's, passed through
+unchanged, and s2 + i hbar t / (2M) leaves Re s2 bit-unchanged, so
+Re s2 > 0 still holds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import ExperimentConfig, GradientSegment, Grid, SpinQN
 from .oracle import SampledSpinor, dft_matrix
-from .wavepacket import _TWO_PI, CentredPacket, _index, _valid, boost, sample
+from .wavepacket import _TWO_PI, CentredPacket, _valid, boost, sample
 
 COEFF_NORM_TOL = 1e-12
 
@@ -63,9 +63,9 @@ class HybridState:
     a CentredPacket: a packet of any other type is a TypeError, and coeffs of
     another shape or fields of different shapes are a ValueError.
 
-    Built here, a state gets every check.  evolve and join_times build theirs
-    through _derived, which tests only finiteness (see the module docstring)
-    and falls back to this constructor on a failure."""
+    Built here, a state gets every check.  evolve builds its states through
+    _derived, which tests only finiteness (see the module docstring) and
+    falls back to this constructor on a failure."""
 
     s: SpinQN
     coeffs: np.ndarray  # (d,) complex
@@ -86,12 +86,6 @@ class HybridState:
         if not abs(total - 1.0) <= COEFF_NORM_TOL:
             raise ValueError(f"coefficients must be normalized, sum |c|^2 = {total}")
 
-    def at(self, i: int | slice) -> "HybridState":
-        """Row or rows i of a batched state, unchecked: rows of valid states are valid."""
-        view = object.__new__(HybridState)
-        vars(view).update(s=self.s, coeffs=self.coeffs, z=_index(self.z, i))
-        return view
-
     @property
     def z_packets(self) -> tuple[CentredPacket, ...]:
         """Scalar view of the z packet of each m (unbatched states only)."""
@@ -101,8 +95,8 @@ class HybridState:
 
 
 def _derived(s: SpinQN, coeffs: np.ndarray, q, k, s2, phase) -> HybridState:
-    """The state an exact update of valid states computed, with the coefficients
-    of one of them, checked for what the update can break: finiteness, in one
+    """The state an exact update of a valid state computed, with its
+    coefficients, checked for what the update can break: finiteness, in one
     reduction (a sum of the four packet fields is finite only if each is).  On
     a failure the full constructor raises its message."""
     if not np.isfinite(q + k + phase + s2).all():
@@ -110,18 +104,6 @@ def _derived(s: SpinQN, coeffs: np.ndarray, q, k, s2, phase) -> HybridState:
     st = object.__new__(HybridState)
     vars(st).update(s=s, coeffs=coeffs, z=_valid(q, k, s2, phase))
     return st
-
-
-def join_times(states: list[HybridState]) -> HybridState:
-    """One state whose time axis runs through those of `states` in turn; they
-    must share one coefficient vector, which the joined state keeps."""
-    coeffs = states[0].coeffs
-    if not all(np.array_equal(st.coeffs, coeffs) for st in states[1:]):
-        raise ValueError("join_times needs states with the same coefficients")
-    fields = [np.concatenate(f) for f in zip(*(vars(st.z).values() for st in states))]
-    if fields[0].ndim < 2:  # no time axis to join along: the full check sees the shape
-        return HybridState(states[0].s, coeffs, CentredPacket(*fields))
-    return _derived(states[0].s, coeffs, *fields)
 
 
 def unit_coeffs(coeffs) -> np.ndarray:

@@ -91,8 +91,8 @@ def test_batched_evolve_rows_match_scalar_evolve():
     assert rdms.matrix.shape == (4, 4, 4)
     entropies = entanglement_entropy(rdms)
     for i, t in enumerate(times):
-        one, row = evolve(st, t, cfg), batch.at(i)
-        assert row.coeffs is one.coeffs is st.coeffs
+        one, row = evolve(st, t, cfg), HybridState(batch.s, batch.coeffs, batch.z[i])
+        assert one.coeffs is st.coeffs
         for f in ("q", "k", "s2", "phase"):
             assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-13
         assert abs(entropies[i] - entanglement_entropy(spin_rdm(one))) <= 1e-14
@@ -107,8 +107,8 @@ def test_single_factors_take_a_time_column():
         batch = factor(st, times[:, None], cfg)
         assert batch.coeffs is st.coeffs and batch.z.q.shape == batch.z.phase.shape == (3, 3)
         for i, t in enumerate(times):
-            one, row = factor(st, t, cfg), batch.at(i)
-            assert row.coeffs is one.coeffs is st.coeffs
+            one, row = factor(st, t, cfg), HybridState(batch.s, batch.coeffs, batch.z[i])
+            assert one.coeffs is st.coeffs
             for f in ("q", "k", "s2", "phase"):
                 assert np.abs(getattr(row.z, f) - getattr(one.z, f)).max() <= 1e-15
 

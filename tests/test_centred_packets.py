@@ -23,7 +23,6 @@ from sgsim import (GradientSegment, HybridState, SpinQN, boost, default_silver_c
                    evolve_segments, free_evolve, from_gaussian, gaussian_hybrid, moments,
                    overlap, sample, scaled_config, translate)
 from sgsim.harness import load_scenario
-from sgsim.propagator import join_times
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REL_TOL = 1e-12
@@ -134,7 +133,7 @@ def test_fused_evolve_is_the_four_factors(config):
     fused = evolve(st0, times[:, None], cfg)
     for i, t in enumerate(times):
         composed = apply_u1(apply_u2a(apply_u2b(apply_u2c(st0, t, cfg), t, cfg), t, cfg), t, cfg)
-        row = fused.at(i)
+        row = HybridState(fused.s, fused.coeffs, fused.z[i])
         for f in ("q", "k", "s2"):
             want = getattr(composed.z, f)
             scale = max(np.abs(want).max(), 1e-300)
@@ -195,14 +194,3 @@ def test_overlap_is_exact_far_from_the_origin():
     want = cmath.exp(-(4.0 + 4.0 * 0.3**2) / 8.0 - 0.3j)
     assert abs(overlap(p, q) - want) <= 1e-15
     assert abs(overlap(p, p) - 1.0) <= 1e-15
-
-
-def test_join_times_runs_through_the_rows():
-    cfg = scaled_config()
-    st0 = gaussian_hybrid(SpinQN(2), np.ones(3), cfg)
-    a = evolve(st0, np.array([[0.0], [0.5]]), cfg)
-    b = evolve(st0, np.array([[1.0], [1.5], [2.0]]), cfg)
-    joined = join_times([a.at(slice(0, 1)), b])
-    assert joined.coeffs is st0.coeffs and joined.z.q.shape == (4, 3)
-    for i, row in enumerate([a.at(0), b.at(0), b.at(1), b.at(2)]):
-        assert state_distance(joined.at(i), row) == 0.0

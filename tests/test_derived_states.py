@@ -1,7 +1,7 @@
-"""States that evolve and join_times derive from valid states skip the checks
-that hold by construction (shape, Re s2 > 0, and the unit norm of the
-coefficients, which they pass through unchanged) and keep the one an exact
-update can break (finiteness).  These tests pin that the derived states are
+"""States that evolve derives from valid states skip the checks that hold
+by construction (shape, Re s2 > 0, and the unit norm of the coefficients,
+which they pass through unchanged) and keep the one an exact update can
+break (finiteness).  These tests pin that the derived states are
 the ones the full constructor would build, that a failure still raises the
 full constructor's message, that long chains of updates leave the
 coefficients bit-identical, that a closed-form operation runs the full
@@ -17,7 +17,6 @@ import pytest
 from sgsim import (CentredPacket, GradientSegment, Grid, HybridState, Scenario, SpinQN,
                    default_silver_config, entropy_timeline, evolve, gaussian_hybrid, harness,
                    scaled_config, spin_rdm)
-from sgsim.propagator import join_times
 from sgsim.wavepacket import overlap
 
 FIELDS = ("q", "k", "s2", "phase")
@@ -45,7 +44,7 @@ def random_state(twice_s: int, cfg) -> HybridState:
 @pytest.mark.parametrize("cfg", [scaled_config(), default_silver_config()],
                          ids=["scaled", "silver"])
 @pytest.mark.parametrize("twice_s", [1, 4, 7])
-def test_evolve_and_join_times_give_what_the_full_constructor_builds(cfg, twice_s):
+def test_evolve_gives_what_the_full_constructor_builds(cfg, twice_s):
     st0 = random_state(twice_s, cfg)
     t = cfg.transit_time
     one = evolve(st0, t, cfg)
@@ -54,26 +53,6 @@ def test_evolve_and_join_times_give_what_the_full_constructor_builds(cfg, twice_
     batch = evolve(one, np.array([[0.0], [0.25 * t], [t]]), cfg.with_beta(-cfg.beta))
     assert batch.coeffs is st0.coeffs and batch.z.q.shape == (3, twice_s + 1)
     assert_bitwise_equal(batch, full_rebuild(batch))
-    assert batch.at(1).coeffs is batch.at(slice(1, None)).coeffs is st0.coeffs
-    joined = join_times([batch, evolve(st0, np.array([[t], [2 * t]]), cfg)])
-    assert joined.coeffs is st0.coeffs and joined.z.q.shape == (5, twice_s + 1)
-    assert_bitwise_equal(joined, full_rebuild(joined))
-
-
-def test_join_times_of_states_without_a_time_axis_is_refused():
-    st = random_state(1, scaled_config())
-    with pytest.raises(ValueError, match=r"z fields of one shape \(\.\.\., 2\), "
-                                         r"got coeffs \(2,\), q \(4,\)"):
-        join_times([st, st])
-
-
-def test_join_times_of_states_with_different_coefficients_is_refused():
-    cfg = scaled_config()
-    times = np.array([[0.5], [1.0]])
-    a = evolve(random_state(1, cfg), times, cfg)
-    b = evolve(gaussian_hybrid(a.s, a.coeffs[::-1], cfg), times, cfg)
-    with pytest.raises(ValueError, match="join_times needs states with the same coefficients"):
-        join_times([a, b])
 
 
 @pytest.mark.parametrize("t, message", [
@@ -134,7 +113,7 @@ def test_spin_rdm_is_the_symmetrized_overlap_of_scalar_packets(twice_s):
     st = evolve(random_state(twice_s, cfg), times, cfg)
     got = spin_rdm(st).matrix
     for row in range(len(times)):
-        one = st.at(row)
+        one = HybridState(st.s, st.coeffs, st.z[row])
         c, packets = one.coeffs, one.z_packets
         raw = np.array([[c[m] * np.conj(c[n]) * overlap(packets[n], packets[m])
                          for n in range(st.s.dim)] for m in range(st.s.dim)])

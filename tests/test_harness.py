@@ -42,6 +42,7 @@ from sgsim.harness import (DENSITY_TOL, GRID_N_LIMIT, ORACLE_STEPS_LIMIT, SILVER
                            SILVER_ORACLE_STEPS, SPINOR_TOL, TWICE_S_LIMIT)
 
 from helpers import evolve_segments_b0_off
+from sgsim.propagator import unit_coeffs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -402,6 +403,25 @@ def test_entropy_timeline_spans_multiple_segments():
     # The interferometer re-merges the beams: entropy returns near zero.
     assert timeline[-1, 1] <= 1e-6
     assert timeline[2, 1] > timeline[-1, 1]  # entangled in the middle
+
+
+def test_entropy_timeline_ends_at_the_state_run_reports():
+    """The last sample is evolved by every segment's full duration, as in
+    evolve_segments, so a recombining spin-1/2 flip ends bitwise at run()'s
+    entropy, 0 here; a zero-duration segment anywhere evolves every sample by
+    0 and leaves the timeline bitwise unchanged."""
+    beta, leg = 144.11615872917628, 1.0659556989250333e-05
+    segments = (GradientSegment(beta, leg), GradientSegment(-beta, 2.1319113978500666e-05),
+                GradientSegment(beta, leg))
+    coeffs = unit_coeffs([-2.5660684433696055 + 0.15916344149115969j,
+                          -0.6259661219478335 - 0.6454387049055018j])
+    sc = silver_scenario(initial_coeffs=coeffs, segments=segments)
+    timeline = entropy_timeline(sc, 33)
+    assert timeline[-1, 1] == run(sc).entropy_nats
+    for i in range(len(segments) + 1):
+        padded = segments[:i] + (GradientSegment(-beta, 0.0),) + segments[i:]
+        got = entropy_timeline(dataclasses.replace(sc, segments=padded), 33)
+        assert got.tobytes() == timeline.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ norm or normalized, and src/ defines no converter `centred` from that form
 (tests/helpers.py holds it).  The fused evolve is the only closed-form
 propagator in src/: the four factors applied one at a time and the
 semiclassical kinematics are the tests' specification, in tests/helpers.py.
+The timeline is a fold of evolve over the segments, so src/ defines no
+join_times and no HybridState.at to stitch batched states together.
 Like test_unused_imports, this scans the syntax trees itself."""
 
 import ast
@@ -14,6 +16,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 EXPONENT_NAMES = {"QuadExpPacket", "norm", "normalized"}
 SPECIFICATION_NAMES = {"apply_u2c", "apply_u2b", "apply_u2a", "apply_u1", "semiclassical",
                        "SemiclassicalKinematics"}
+STITCHING_NAMES = {"join_times", "HybridState.at"}
 
 
 def imported_exponent_names(source: str) -> list[tuple[int, str]]:
@@ -34,6 +37,13 @@ def defined_names(source: str) -> set[str]:
     return names
 
 
+def method_names(source: str) -> set[str]:
+    """Class.method of each function defined directly in a class body."""
+    return {f"{node.name}.{item.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)}
+
+
 def test_scan_finds_exponent_imports_and_definitions():
     source = ("from .wavepacket import (CentredPacket, QuadExpPacket, boost,\n"
               "                         normalized)\n"
@@ -42,6 +52,7 @@ def test_scan_finds_exponent_imports_and_definitions():
     assert imported_exponent_names(source) == [(1, "QuadExpPacket"), (1, "normalized"),
                                                 (3, "norm")]
     assert defined_names(source) == {"centred", "q"}
+    assert method_names("class A:\n    def at(self):\n        def f(): pass\n") == {"A.at"}
 
 
 def test_only_wavepacket_touches_the_exponent_form():
@@ -61,4 +72,11 @@ def test_src_defines_no_centred_converter():
 def test_src_defines_no_single_factor_or_semiclassical_yardstick():
     found = [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
              for name in sorted(SPECIFICATION_NAMES & defined_names(p.read_text()))]
+    assert not found, found
+
+
+def test_src_defines_no_state_stitching():
+    found = [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+             for name in sorted(STITCHING_NAMES & (defined_names(p.read_text())
+                                                   | method_names(p.read_text())))]
     assert not found, found
