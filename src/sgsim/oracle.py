@@ -5,7 +5,9 @@ H = p_z^2/(2M) - gamma (B0 + beta z) S_z on a periodic z grid:
 
 * split_step_evolve: Strang-split Fourier time stepping of the non-zero
   spin components (H is diagonal in m, so components never mix), with one
-  batched FFT each way per step; a force-free component takes one step;
+  batched FFT each way per step; a force-free component takes one step,
+  and past one step a component is stepped on the coarsest sub-grid over
+  the same window that holds its momentum spectrum;
 * dense_hamiltonian + matrix_exponential: the matrix propagator for
   desk-size grids, by exact eigendecomposition.  H commutes with S_z, so
   it is kept as the (d, n, n) stack of its blocks, one per m, and all d
@@ -40,6 +42,14 @@ from .config import ExperimentConfig, Grid, SpinQN
 # Boundary samples must stay below this fraction of the peak for a
 # periodic-grid run to be trusted.
 LEAK_TOL = 1e-8
+
+# A split-step row's band ends at the last wavenumber whose spectrum exceeds
+# this fraction of the row's peak; a sampled Gaussian's floor is ~1e-15.
+BAND_TOL = 1e-13
+# Content a row stepped on a sub-grid may reach in the upper half of that
+# grid's band, as a fraction of its peak, before it is stepped again on the
+# full grid: the spectral twin of LEAK_TOL.
+SPECTRAL_LEAK_TOL = LEAK_TOL
 
 # Steps between exact recomputations of a split-step drift table.
 DRIFT_ANCHOR_STEPS = 64
@@ -151,6 +161,19 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     multiplier per value of p_{j+1} - p_j (two; three where (j + 1/2) kick /
     dk lands on ties).  The returned frame is within dk / 2 of frame_k +
     steps * kick.
+
+    Sub-grid: kicks and free flight shift and phase a component's spectrum
+    but never widen it, and in the mid-step frame the shift stays under
+    dk / 2.  So past one step, each force-carrying component runs on n_r
+    points over the same window (same dk, seam and frames), n_r the
+    smallest power of two >= 4 (B + 1) for B its last wavenumber index
+    (in the stored frame) above BAND_TOL of its peak, capped at n.  It goes
+    in by truncating its spectrum and out by zero-padding it, both exact
+    for a band-limited component; the boundary-leak checks see the full
+    grid.  Components with equal n_r step together.  End guard: a
+    component whose spectrum reaches SPECTRAL_LEAK_TOL of its peak at
+    |q| >= n_r / 4 is stepped again on the full grid.  One step, and a
+    component whose spectrum fills the band, run on the full grid.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -167,10 +190,54 @@ def split_step_evolve(psi: SampledSpinor, t: float, steps: int,
     forced = cfg.gamma * cfg.beta * m != 0
     for group, group_steps in ((live & forced, steps), (live & ~forced, 1)):
         if group.any():
-            out[group], frame[group] = _strang_steps(
+            out[group], frame[group] = _sub_grid_steps(
                 out[group], frame[group], m[group], psi.grid, t, group_steps, cfg)
     check_boundary_leak(out, psi.s, "at the end")
     return SampledSpinor(psi.grid, psi.s, out, frame)
+
+
+def _sub_grid_steps(phi: np.ndarray, frame: np.ndarray, m: np.ndarray, grid: Grid,
+                    t: float, steps: int, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """_strang_steps of the rows phi (rows, n), each row on the coarsest
+    power-of-two grid over the same window that holds its spectrum (see
+    split_step_evolve).  The band B < n_r / 4 leaves a factor 2 below n_r's
+    Nyquist for the sub-bin shift of the mid-step frame.  Rows with equal
+    n_r step together, so a row's result does not depend on the other rows.
+    One step, a row with n_r = n and a row the end guard sends back run
+    _strang_steps on the full grid.  Overwrites phi and frame.
+    """
+    n = grid.n
+    if steps == 1:
+        return _strang_steps(phi, frame, m, grid, t, steps, cfg)
+    spec = np.fft.fft(phi, axis=-1)
+    mag = np.abs(spec)
+    q = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    bands = np.where(mag > BAND_TOL * mag.max(axis=1, keepdims=True), q, 0.0).max(axis=1)
+    # the smallest power of two >= 4 (B + 1), capped at n
+    sizes = np.array([min(n, 1 << (4 * int(b) + 3).bit_length()) for b in bands])
+    full = sizes == n
+    for size in set(sizes[~full].tolist()):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(sizes == size)
+        h = size // 2
+        # in: the size lowest |q| bins, unscaled inverse FFT, the n-point 1/n
+        sub = np.fft.ifft(np.concatenate((spec[rows, :h], spec[rows, -h:]), axis=1),
+                          axis=-1, norm="forward") / n
+        sub, sub_frame = _strang_steps(
+            sub, frame[rows], m[rows], Grid(grid.z_min, grid.z_max, size), t, steps, cfg)
+        back = np.fft.fft(sub, axis=-1)
+        mag = np.abs(back)
+        held = mag[:, size // 4:size - size // 4 + 1].max(axis=1) \
+            < SPECTRAL_LEAK_TOL * mag.max(axis=1)
+        full[rows[~held]] = True
+        pad = np.zeros((int(held.sum()), n), dtype=complex)
+        pad[:, :h], pad[:, -h:] = back[held, :h], back[held, h:]
+        # out: zero-padded, unscaled inverse FFT, the size-point 1/size
+        phi[rows[held]] = np.fft.ifft(pad, axis=-1, norm="forward") / size
+        frame[rows[held]] = sub_frame[held]
+    if full.any():
+        phi[full], frame[full] = _strang_steps(
+            phi[full], frame[full], m[full], grid, t, steps, cfg)
+    return phi, frame
 
 
 def _strang_steps(phi: np.ndarray, frame: np.ndarray, m: np.ndarray, grid: Grid,

@@ -647,7 +647,7 @@ assert not loaded("numpy.fft", "numpy.random", "scipy"), loaded("numpy.fft", "nu
 sc = harness.load_scenario("configs/scaled_small.json")
 assert "compare-table" in sc.outputs
 assert harness.run(sc).reference.density <= 1e-12
-assert not loaded("scipy"), loaded("scipy")[:5]
+assert not loaded("scipy", "numpy.ma"), loaded("scipy", "numpy.ma")[:5]
 assert harness.bch_check(SpinQN(1)).state_error <= 1e-6
 assert not loaded("scipy"), loaded("scipy")[:5]
 """
@@ -656,7 +656,8 @@ assert not loaded("scipy"), loaded("scipy")[:5]
 def test_import_and_split_step_run_load_no_scipy():
     """scipy is a test-only dependency: the import, a reference run and
     the dense check in a fresh interpreter must not load it.  The import
-    loads neither numpy.fft nor numpy.random either."""
+    loads neither numpy.fft nor numpy.random either, and the run (256
+    split steps, on a sub-grid) does not load numpy.ma."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], cwd=root, env=env,
