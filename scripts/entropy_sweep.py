@@ -38,13 +38,12 @@ def main(argv: list[str] | None = None) -> None:
     args = ap.parse_args(argv)
 
     betas = [float(b) for b in args.betas.split(",")]
-    base = default_silver_config()
+    cfg = default_silver_config()  # each schedule's segment carries its own beta
     spin = SpinQN.parse("1/2")
     coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
     columns = []
     for beta in betas:
-        cfg = base.with_beta(beta)
         sc = Scenario(cfg=cfg, spin=spin, initial_coeffs=coeffs,
                       segments=(GradientSegment(beta, args.duration),),
                       grid=SILVER_GRID, outputs=())
@@ -56,8 +55,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"beta {beta:7.1f} T/m: entropy {timeline[-1, 1]:.6f} nats "
               f"at t = {args.duration:.1e} s, {half}")
 
-    times = np.linspace(0.0, args.duration, args.samples)
-    table = np.column_stack([times] + columns)
+    table = np.column_stack([timeline[:, 0]] + columns)
     header = "t_s," + ",".join(f"entropy_beta_{beta:g}" for beta in betas)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     np.savetxt(args.out, table, delimiter=",", header=header, comments="",

@@ -24,8 +24,8 @@ from .observables import (entanglement_entropy, peak_separation, position_densit
                           spin_rdm)
 from .oracle import (EXPM_SIZE_LIMIT, SampledSpinor, dense_hamiltonian, matrix_exponential,
                      spinor_l2_distance, split_step_evolve, strang_phase)
-from .propagator import (dense_factored_matrix, evolve, evolve_segments, gaussian_hybrid,
-                         sample_state, unit_coeffs)
+from .propagator import (dense_factored_matrix, evolve_segments, gaussian_hybrid, sample_state,
+                         unit_coeffs)
 from .wavepacket import from_gaussian, moments, sample
 
 VALID_OUTPUTS = ("density", "entropy-timeline", "compare-table")
@@ -260,28 +260,17 @@ def entropy_timeline(sc: Scenario, samples: int) -> np.ndarray:
     """Entanglement entropy at evenly spaced times across the schedule;
     returns an array with columns (t, entropy).
 
-    The evolution operator of the schedule is the product of its segment
-    operators, so one batched evolve per segment, of every sample at once
-    for the part of its time that falls in the segment, gives the whole
-    timeline, and one spin_rdm takes all.  A sample before the segment
-    evolves by 0, which leaves its state bit-identical, and a sample at or
-    past its end by the segment's duration, so the last row is the state
-    evolve_segments gives.
+    evolve_segments takes every sample through the schedule at once, one
+    batched evolve per segment, and one spin_rdm takes all.  The last row is
+    the state evolve_segments gives at the schedule's end.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if samples > TIMELINE_SAMPLES_LIMIT:
         raise ValueError(f"samples must be <= {TIMELINE_SAMPLES_LIMIT}, got {samples}")
-    st = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
     times = np.linspace(0.0, sc.total_duration, samples)
-    start = 0.0
-    # without segments every sample is the initial state
-    for seg in sc.segments or (GradientSegment(sc.cfg.beta, 0.0),):
-        end = start + seg.duration
-        # a sample spends max(t - start, 0) here, and all of it once t reaches the end
-        dt = np.where(times < end, np.maximum(times - start, 0.0), seg.duration)
-        st = evolve(st, dt[:, None], sc.cfg.with_beta(seg.beta))
-        start = end
+    st = evolve_segments(gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg),
+                         list(sc.segments), sc.cfg, times[:, None])
     return _columns(times, entanglement_entropy(spin_rdm(st)))
 
 
@@ -466,6 +455,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key in doc:
             cfg_kwargs[field] = _parse_float(doc[key], key)
     cfg = ExperimentConfig(**cfg_kwargs)
+    # the initial packet's width is sigma_z^2, and v0 sets the transit time every run reports
+    if not 0.0 < cfg.sigma_z * cfg.sigma_z < math.inf:
+        raise ValueError(f"sigma_z_m squared must be positive and finite, got sigma_z_m "
+                         f"{cfg.sigma_z!r}")
+    if not cfg.v0 > 0:
+        raise ValueError(f"v0_m_per_s must be > 0, got {cfg.v0!r}")
 
     spin = SpinQN(_parse_int(doc["twice_s"], "twice_s", TWICE_S_LIMIT))
     coeffs = unit_coeffs([_parse_coeff(v, f"coeffs[{i}]")

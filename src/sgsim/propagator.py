@@ -26,8 +26,9 @@ and the phase is then reduced mod 2 pi, into (-2 pi, 2 pi) by fmod, which
 is exact (np.remainder rounds where it adds 2 pi to a negative phase): the
 Larmor phase alone reaches 1e6 rad over a silver transit, and spin_rdm's
 overlaps take differences of phases.  A (s, 1) array of times gives a
-state with a leading time axis: the closed form holds at any t, so a
-timeline takes one call per segment, for all of its samples at once.
+state with a leading time axis: the closed form holds at any t, so
+evolve_segments takes a timeline's samples through a schedule with one
+call per segment, for all of them at once.
 
 Validation: a state built at an entry point (HybridState(...) by a
 caller, gaussian_hybrid) gets every check.  A state that evolve derives
@@ -161,11 +162,22 @@ def evolve(st: HybridState, t: Times, cfg: ExperimentConfig) -> HybridState:
 
 
 def evolve_segments(st: HybridState, segments: list[GradientSegment],
-                    cfg: ExperimentConfig) -> HybridState:
+                    cfg: ExperimentConfig, t: Times | None = None) -> HybridState:
     """Piecewise-constant gradient schedule; exact because each segment is
-    a constant-Hamiltonian propagation (B0 held fixed throughout)."""
+    a constant-Hamiltonian propagation (B0 held fixed throughout).  t, as in
+    evolve but counted from the schedule's start, defaults to its end: a
+    time before a segment evolves by 0 in it, bit-identically, and one at
+    or past the segment's end by its whole duration."""
+    if t is not None:
+        _check_times(t)
+    start = 0.0
     for seg in segments:
-        st = evolve(st, seg.duration, cfg.with_beta(seg.beta))
+        dt = seg.duration
+        if t is not None:
+            end = start + dt
+            dt = np.where(t < end, np.maximum(t - start, 0.0), dt)
+            start = end
+        st = evolve(st, dt, cfg.with_beta(seg.beta))
     return st
 
 

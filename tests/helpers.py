@@ -76,10 +76,12 @@ def stack_packets(packets) -> CentredPacket | QuadExpPacket:
     return cls(*(np.array([getattr(p, f.name) for p in packets]) for f in fields(cls)))
 
 
-def evolve_segments_b0_off(st: HybridState, segments, cfg: ExperimentConfig) -> HybridState:
+def evolve_segments_b0_off(st: HybridState, segments, cfg: ExperimentConfig,
+                           t=None) -> HybridState:
     """evolve_segments with B0 off by a relative 1e-9, a closed form whose
-    only error is its Larmor phases (~5e5 rad over a silver transit)."""
-    return evolve_segments(st, segments, replace(cfg, b0=cfg.b0 * (1 + 1e-9)))
+    only error is its Larmor phases (~5e5 rad over a silver transit).  It
+    forwards the time column, so it stands in for every call."""
+    return evolve_segments(st, segments, replace(cfg, b0=cfg.b0 * (1 + 1e-9)), t)
 
 
 def loop_split_step_evolve(psi: SampledSpinor, t: float, steps: int,

@@ -125,7 +125,8 @@ def test_compare_passes_at_default_tolerance(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_spinor_error_gates_run_and_compare(tmp_path, capsys, monkeypatch, command):
-    doc = {**SILVER_DOC, "outputs": ["compare-table"]}
+    # the timeline takes the same seam, with its time column
+    doc = {**SILVER_DOC, "outputs": ["compare-table", "entropy-timeline"]}
     monkeypatch.setattr(harness, "evolve_segments", evolve_segments_b0_off)
     code = main([command, write_doc(tmp_path, doc)])
     out = capsys.readouterr().out
@@ -416,6 +417,25 @@ def test_non_finite_grid_bounds_exit_2(tmp_path, capsys, bounds):
     assert code == 2
     assert "grid bounds must be finite with a finite span" in err
     assert "outside the density window" not in err
+
+
+@pytest.mark.parametrize("sigma_z", [1e200, 1e-200])  # sigma_z^2 overflows, underflows to 0
+def test_a_sigma_z_whose_square_leaves_the_floats_exits_2_naming_it(tmp_path, capsys, sigma_z):
+    code = main(["run", write_doc(tmp_path, {**SCALED_DOC, "sigma_z_m": sigma_z})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: sigma_z_m squared must be positive and finite, "
+                   f"got sigma_z_m {sigma_z!r}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("v0", [0.0, -1.0])
+def test_a_beam_speed_at_or_below_0_exits_2_naming_it(tmp_path, capsys, command, v0):
+    # the schedule is explicit, so nothing before the report reads v0
+    code = main([command, write_doc(tmp_path, {**SCALED_DOC, "v0_m_per_s": v0})])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: v0_m_per_s must be > 0, got {v0!r}\n"
 
 
 def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_path, capsys):

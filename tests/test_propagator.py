@@ -181,6 +181,57 @@ def test_segment_beta_override():
     assert state_distance(via_segments, direct) == 0.0
 
 
+# dyadic durations and times, so that every cut below is exact
+SCHEDULE = [GradientSegment(0.8, 0.5), GradientSegment(-0.7, 0.0), GradientSegment(-0.4, 1.25)]
+
+
+def cut_schedule(segments, t):
+    """The schedule up to time t: the segments that end by t, then the one
+    t falls in, shortened to end at t."""
+    out, start = [], 0.0
+    for seg in segments:
+        if start >= t:
+            break
+        out.append(GradientSegment(seg.beta, min(seg.duration, t - start)))
+        start += seg.duration
+    return out
+
+
+def packet_fields(st):
+    return [st.z.q, st.z.k, st.z.s2, st.z.phase]
+
+
+def test_segment_time_column_rows_are_the_cut_schedules():
+    cfg = scaled_config(b0=0.7)
+    st = gaussian_hybrid(SpinQN(2), np.array([1.0, 2.0j, -0.5]), cfg)
+    times = np.append(np.linspace(0.0, 1.75, 8), 2.5)  # the last one past the end
+    batched = evolve_segments(st, SCHEDULE, cfg, times[:, None])
+    assert batched.z.q.shape == (9, 3) and batched.coeffs is st.coeffs
+    for i, t in enumerate(times):
+        row = evolve_segments(st, cut_schedule(SCHEDULE, t), cfg)
+        for got, want in zip(packet_fields(batched), packet_fields(row)):
+            assert np.array_equal(got[i], want), (t, got[i], want)
+
+
+def test_segment_times_at_0_and_past_the_end_give_the_end_states():
+    cfg = scaled_config(b0=0.7)
+    st = gaussian_hybrid(SpinQN(2), np.ones(3), cfg)
+    end = evolve_segments(st, SCHEDULE, cfg)
+    for t, want in ((0.0, st), (1.75, end), (4.0, end)):
+        got = evolve_segments(st, SCHEDULE, cfg, t)
+        assert all(map(np.array_equal, packet_fields(got), packet_fields(want))), t
+
+
+@pytest.mark.parametrize("t", [-1e-3, np.array([[0.5], [-0.25]])])
+def test_segment_times_below_0_raise_as_in_evolve(t):
+    cfg = scaled_config()
+    st = gaussian_hybrid(HALF, EQUAL, cfg)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        evolve(st, t, cfg)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        evolve_segments(st, SCHEDULE, cfg, t)
+
+
 def test_interferometer_recombines():
     from sgsim import interferometer_segments
     cfg = scaled_config()

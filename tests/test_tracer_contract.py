@@ -86,5 +86,5 @@ def test_traced_run_records_the_closed_form_spans():
     assert summary["evolve_in_timeline"] == 2
     assert names["observables.position_density_z"]["bases"]["point_component"] == 3 * 4096
     # the wrappers are gone again
-    assert harness.evolve is sys.modules["sgsim.propagator"].evolve
-    assert not hasattr(harness.evolve, "__wrapped__")
+    assert harness.spin_rdm is sys.modules["sgsim.observables"].spin_rdm
+    assert not hasattr(harness.spin_rdm, "__wrapped__")
