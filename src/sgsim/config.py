@@ -58,12 +58,16 @@ class ExperimentConfig:
     magnet_length: float
 
     def __post_init__(self) -> None:
-        for name in ("mass", "hbar", "sigma_x", "sigma_y", "sigma_z",
-                     "magnet_length"):
+        # every message starts with the field it names, which scenario_from_dict
+        # replaces by its JSON key
+        for name in ("mass", "hbar", "v0", "sigma_x", "sigma_y", "sigma_z", "magnet_length"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("g_factor", "bohr_magneton", "b0", "beta", "v0"):
+        # the initial z packet's width is sigma_z^2
+        if not 0.0 < self.sigma_z * self.sigma_z < math.inf:
+            raise ValueError(f"sigma_z must have a positive finite square, got {self.sigma_z}")
+        for name in ("g_factor", "bohr_magneton", "b0", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -75,8 +79,6 @@ class ExperimentConfig:
     @property
     def transit_time(self) -> float:
         """Time spent inside the field region at speed v0."""
-        if self.v0 <= 0:
-            raise ValueError("transit time requires v0 > 0")
         return self.magnet_length / self.v0
 
     def with_beta(self, beta: float) -> "ExperimentConfig":

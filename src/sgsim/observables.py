@@ -78,25 +78,33 @@ class SpinRDM:
 def position_density_z(st: HybridState, grid: Grid) -> DensityProfile:
     """p(z) = sum_m |c_m|^2 |psi_m(z)|^2: components of different m, attached
     to orthogonal spin states, never interfere.  A weighted component wholly
-    outside the window is an error naming its closed-form centroid and width."""
-    z, weights = st.z, np.abs(st.coeffs) ** 2
-    var = moments(z).variance
-    # a beam this far off the nodes has no sample above exp(EXP_FLOOR)
-    gap = np.maximum(grid.z_min - z.q, z.q - (grid.z_max - grid.dz))
-    outside = (gap > 0) & (gap * gap > -4.0 * EXP_FLOOR * var)
-    lost = outside & (weights > 0)
-    if lost.any():
-        i = np.flatnonzero(lost)[0]
-        raise ValueError(f"component m={st.s.label(st.s.m_values()[i])} lies outside the "
-                         f"density window [{grid.z_min:g}, {grid.z_max:g}] m: its closed-form "
-                         f"centroid is {z.q[i]:.6g} m and its width {np.sqrt(var[i]):.3g} m")
-    # |psi_m| is exp(-(z - q)^2 / (4 var)) times a constant that the weights
-    # take, in one (d, n) buffer filled in place; exponents are floored at
-    # EXP_FLOOR, since exp is slow where its result underflows
-    amps = np.subtract(grid.z, z.q[:, None])
-    np.square(amps, out=amps)
-    amps *= (-0.25 / var)[:, None]
-    np.exp(np.maximum(amps, EXP_FLOOR, out=amps), out=amps)
+    outside the window is an error naming its closed-form centroid and width,
+    and one whose position variance overflows an error naming its s2."""
+    z, weights, label = st.z, np.abs(st.coeffs) ** 2, st.s.label
+    # a weightless component may overflow here, far off and wide: its row is
+    # zeroed below; a weighted one is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = moments(z).variance
+        # one reduction in the common case, where every variance is finite
+        if var.max() == math.inf and (wide := np.isinf(var) & (weights > 0)).any():
+            i = np.flatnonzero(wide)[0]
+            raise ValueError(f"component m={label(st.s.m_values()[i])} has a position "
+                             f"variance that overflows: its closed-form s2 is {z.s2[i]:.6g} m^2")
+        # a beam this far off the nodes has no sample above exp(EXP_FLOOR)
+        gap = np.maximum(grid.z_min - z.q, z.q - (grid.z_max - grid.dz))
+        lost = (gap > 2.0 * math.sqrt(-EXP_FLOOR) * np.sqrt(var)) & (weights > 0)
+        if lost.any():
+            i = np.flatnonzero(lost)[0]
+            raise ValueError(f"component m={label(st.s.m_values()[i])} lies outside the "
+                             f"density window [{grid.z_min:g}, {grid.z_max:g}] m: its closed-form "
+                             f"centroid is {z.q[i]:.6g} m and its width {np.sqrt(var[i]):.3g} m")
+        # |psi_m| is exp(-(z - q)^2 / (4 var)) times a constant that the weights
+        # take, in one (d, n) buffer filled in place; exponents are floored at
+        # EXP_FLOOR, since exp is slow where its result underflows
+        amps = np.subtract(grid.z, z.q[:, None])
+        np.square(amps, out=amps)
+        amps *= (-0.25 / var)[:, None]
+        np.exp(np.maximum(amps, EXP_FLOOR, out=amps), out=amps)
     amps[weights == 0] = 0.0  # weightless components cannot leak
     check_boundary_leak(amps, st.s, "in the density window")
     weights *= np.exp(2.0 * log_amplitude(z.s2).real)

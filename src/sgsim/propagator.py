@@ -167,17 +167,26 @@ def evolve_segments(st: HybridState, segments: list[GradientSegment],
     a constant-Hamiltonian propagation (B0 held fixed throughout).  t, as in
     evolve but counted from the schedule's start, defaults to its end: a
     time before a segment evolves by 0 in it, bit-identically, and one at
-    or past the segment's end by its whole duration."""
+    or past the segment's end by its whole duration.
+
+    This walk is the closed form's overflow guard: an update that leaves
+    the floats fails evolve's finiteness check, and is raised naming the
+    segment and its duration, with no numpy warning before it."""
     if t is not None:
         _check_times(t)
     start = 0.0
-    for seg in segments:
-        dt = seg.duration
-        if t is not None:
-            end = start + dt
-            dt = np.where(t < end, np.maximum(t - start, 0.0), dt)
-            start = end
-        st = evolve(st, dt, cfg.with_beta(seg.beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, seg in enumerate(segments):
+            dt = seg.duration
+            if t is not None:
+                end = start + dt
+                dt = np.where(t < end, np.maximum(t - start, 0.0), dt)
+                start = end
+            try:
+                st = evolve(st, dt, cfg.with_beta(seg.beta))
+            except ValueError as exc:
+                raise ValueError(f"segments[{i}]: duration_s {seg.duration!r} overflows the "
+                                 f"closed form: {exc}") from None
     return st
 
 

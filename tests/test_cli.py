@@ -330,24 +330,85 @@ def test_nan_coefficient_exits_2_naming_the_coefficients(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def run_recording_warnings(argv: list[str]) -> tuple[int, list]:
+    """main(argv) and the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# each segment alone is finite; the drift's flight times the kick the first
+# one gave overflows the packet phase
+KICK_THEN_DRIFT = {**SCALED_DOC, "segments": [{"beta_tesla_per_m": 1e150, "duration_s": 1.0},
+                                              {"beta_tesla_per_m": 0.0, "duration_s": 1e10}]}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({**SILVER_DOC, "segments": [{"beta_tesla_per_m": 1000.0, "duration_s": 1e300}]},
-     "segments[0]: duration_s 1e+300 overflows the closed form: gamma s t is inf"),
-    # each segment alone is finite; the drift's flight times the kick the
-    # first one gave overflows the packet phase
-    ({**SCALED_DOC, "segments": [{"beta_tesla_per_m": 1e150, "duration_s": 1.0},
-                                 {"beta_tesla_per_m": 0.0, "duration_s": 1e10}]},
-     "segments[1]: duration_s 10000000000.0 overflows the closed form: the packet phase is inf"),
+     "segments[0]: duration_s 1e+300 overflows the closed form: q must be finite, "
+     "got [-inf  inf]"),
+    (KICK_THEN_DRIFT,
+     "segments[1]: duration_s 10000000000.0 overflows the closed form: phase must be finite, "
+     "got [nan nan]"),
 ])
 def test_a_schedule_that_overflows_the_closed_form_exits_2_naming_the_segment(
         tmp_path, capsys, doc, message):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["run", write_doc(tmp_path, doc)])
+    code, warned = run_recording_warnings(["run", write_doc(tmp_path, doc)])
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not warned
+
+
+def test_entropy_names_the_segment_that_overflows_the_closed_form(tmp_path, capsys):
+    # the timeline walks its 33 sample times at once: the message names the
+    # drift, and evolve's message holds the phases of every sample
+    code, warned = run_recording_warnings(["entropy", write_doc(tmp_path, KICK_THEN_DRIFT)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not warned
+    assert err.startswith("error: segments[1]: duration_s 10000000000.0 overflows the closed "
+                          "form: phase must be finite, got [[0. ")
+
+
+@pytest.mark.parametrize("command", ["run", "entropy", "compare"])
+def test_a_schedule_whose_total_duration_overflows_exits_2_naming_the_segment(
+        tmp_path, capsys, command):
+    # each drift alone is finite, and so is the closed form at a tiny g
+    # factor; their sum, which the timeline and the reference read, is not
+    doc = {**SILVER_DOC, "g_factor": 1e-20,
+           "segments": [{"beta_tesla_per_m": 0.0, "duration_s": 1.5e308}] * 2}
+    code, warned = run_recording_warnings([command, write_doc(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not warned
+    assert err == ("error: segments[1]: duration_s 1.5e+308 overflows the schedule's total "
+                   "duration\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("key, value", [("b0_tesla", 1e300), ("hbar_js", 1.0546e-180)])
+def test_a_reference_that_leaves_the_floats_exits_2_naming_the_segment(
+        tmp_path, capsys, command, key, value):
+    # the closed form is finite; the split-step's field phase (b0) or
+    # kinetic phase (hbar) is not
+    doc = {**SILVER_DOC, key: value, "outputs": ["density", "compare-table"]}
+    code, warned = run_recording_warnings([command, write_doc(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not warned
+    assert err == ("error: segments[0]: duration_s 5.303030303030304e-05 overflows the "
+                   "split-step reference with steps = 1\n")
+
+
+def test_a_beam_too_wide_for_the_density_exits_2_naming_the_component(tmp_path, capsys):
+    # two finite drifts whose flight spreads s2 to 1e308 i: the position
+    # variance |s2|^2 / Re s2 overflows
+    doc = {**SCALED_DOC, "hbar_js": 2.0,
+           "segments": [{"beta_tesla_per_m": 0.0, "duration_s": 5e307}] * 2}
+    code, warned = run_recording_warnings(["run", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2 and not warned
+    assert err == ("error: component m=+1/2 has a position variance that overflows: its "
+                   "closed-form s2 is 1+1e+308j m^2\n")
 
 
 @pytest.mark.parametrize("coeffs, message", [
@@ -424,8 +485,7 @@ def test_a_sigma_z_whose_square_leaves_the_floats_exits_2_naming_it(tmp_path, ca
     code = main(["run", write_doc(tmp_path, {**SCALED_DOC, "sigma_z_m": sigma_z})])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == (f"error: sigma_z_m squared must be positive and finite, "
-                   f"got sigma_z_m {sigma_z!r}\n")
+    assert err == f"error: sigma_z_m must have a positive finite square, got {sigma_z!r}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -435,7 +495,19 @@ def test_a_beam_speed_at_or_below_0_exits_2_naming_it(tmp_path, capsys, command,
     code = main([command, write_doc(tmp_path, {**SCALED_DOC, "v0_m_per_s": v0})])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"error: v0_m_per_s must be > 0, got {v0!r}\n"
+    assert err == f"error: v0_m_per_s must be positive and finite, got {v0!r}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mass_kg", -1.0, "mass_kg must be positive and finite, got -1.0"),
+    ("sigma_z_m", -0.05, "sigma_z_m must be positive and finite, got -0.05"),
+    ("hbar_js", 0.0, "hbar_js must be positive and finite, got 0.0"),
+    ("b0_tesla", 1e999, "b0_tesla must be finite"),
+])
+def test_a_bad_physics_value_exits_2_naming_its_key(tmp_path, capsys, key, value, message):
+    code = main(["run", write_doc(tmp_path, {**SCALED_DOC, key: value})])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_names_the_component_a_screen_drift_leaves_outside_the_window(tmp_path, capsys):

@@ -201,10 +201,74 @@ def test_the_scale_check_bounds_each_segments_phase_increment():
         st = evolve_segments(gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg), list(segments),
                              sc.cfg)
     assert (np.abs(st.z.phase) < 2.0 * math.pi).all()
-    # a Larmor phase and a kinetic phase that overflow only together
-    with pytest.raises(ValueError, match=r"^segments\[0\]: duration_s 1.0 overflows the closed "
-                                         r"form: the packet phase is inf$"):
-        scaled_scenario(cfg=scaled_config(b0=1e308), segments=(GradientSegment(3e154, 1.0),))
+    # the kick times the centroid shift, 2e308, overflows the packet phase:
+    # the scenario is built, and its walk names the segment
+    sc = scaled_scenario(cfg=scaled_config(b0=1e308), segments=(GradientSegment(4e154, 1.0),))
+    st0 = gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg)
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")
+        evolve_segments(st0, list(sc.segments), sc.cfg)
+    assert str(err.value) == ("segments[0]: duration_s 1.0 overflows the closed form: phase must "
+                              "be finite, got [nan nan]")
+
+
+@pytest.mark.parametrize("make", [
+    # -+5.43e153 T/m over 53 us each: the kicks cancel, and the packet phase
+    # is finite, though a bound built from |beta| overflows
+    lambda: silver_scenario(spin=SpinQN(2), initial_coeffs=np.ones(3) / math.sqrt(3.0),
+                            segments=(GradientSegment(-5.43e153, 5.3e-5),
+                                      GradientSegment(5.43e153, 5.3e-5))),
+    # at m = +1/2 the Larmor and u2c phases (-8.75e307) and the kick times
+    # the shift (1.125e308) differ in sign: their sum of sizes overflows,
+    # their signed sum does not
+    lambda: scaled_scenario(cfg=scaled_config(b0=1e308), segments=(GradientSegment(3e154, 1.0),)),
+], ids=["silver-flip", "scaled-larmor"])
+def test_a_schedule_whose_signed_update_is_finite_is_admitted(make):
+    sc = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = evolve_segments(gaussian_hybrid(sc.spin, sc.initial_coeffs, sc.cfg),
+                             list(sc.segments), sc.cfg)
+        assert np.isfinite(st.z.q + st.z.k + st.z.s2 + st.z.phase).all()
+        # the beams land far outside the window, which the density names
+        with pytest.raises(ValueError, match=r"^component m=\+1(/2)? lies outside the density"):
+            run(sc)
+
+
+def test_the_closed_form_walk_names_the_first_segment_whose_update_overflows():
+    """Seeded extreme schedules: evolve_segments returns a finite state, or
+    raises naming segments[k] for the first prefix segments[:k+1] whose walk
+    is not finite, with no numpy warning either way."""
+    rng = np.random.default_rng(2027)
+    outcomes = set()
+    for _ in range(200):
+        cfg = scaled_config() if rng.random() < 0.5 else default_silver_config()
+        spin = SpinQN(int(rng.integers(1, 8)))
+        scales = 10.0 ** rng.uniform(0.0, 120.0, size=(rng.integers(1, 4), 2))
+        segments = [GradientSegment(cfg.beta * rng.choice([-1.0, 1.0]) * beta_scale,
+                                    cfg.transit_time * duration_scale)
+                    for beta_scale, duration_scale in scales]
+        st0 = gaussian_hybrid(spin, np.ones(spin.dim), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = None
+            for k in range(len(segments)):
+                try:
+                    evolve_segments(st0, segments[:k + 1], cfg)
+                except ValueError:
+                    first = k
+                    break
+            if first is None:
+                z = evolve_segments(st0, segments, cfg).z
+                assert np.isfinite(z.q + z.k + z.s2 + z.phase).all()
+            else:
+                with pytest.raises(ValueError) as err:
+                    evolve_segments(st0, segments, cfg)
+                assert str(err.value).startswith(
+                    f"segments[{first}]: duration_s {segments[first].duration!r} overflows the "
+                    f"closed form: ")
+        outcomes.add(first)
+    assert outcomes == {None, 0, 1, 2}  # every outcome is drawn
 
 
 def test_scenario_rejects_unnormalized_coeffs():
